@@ -2,79 +2,12 @@
 molecule: dressed states, allowed transitions, phonon-broadened Lorentzian
 spectra, and parameter sweeps."""
 
-from .core import (
-    DressedTriplet,
-    DriveParams,
-    EmitterParams,
-    TripletHamiltonian,
-    delta_from_field,
-    diagonalize,
-    reduced_hamiltonian,
-)
-from .spectrum import (
-    CENTRAL,
-    K_B,
-    SIDE,
-    BroadeningModel,
-    GridSpec,
-    SpectrumGrid,
-    Transition,
-    count_peaks,
-    hwhm,
-    linewidth,
-    resolvable_maxima,
-    synthesize,
-    transitions,
-)
-from .sweep import (
-    BRANCH_LABELS,
-    EnergyCurves,
-    IntensityMap,
-    SweepRange,
-    TransitionBranches,
-    delta_values_from_field,
-    dressed_energy_curves,
-    intensity_map,
-    temperature_series,
-    transition_branches,
-)
+from . import core, spectrum, sweep
+from .core import *  # noqa: F403
+from .spectrum import *  # noqa: F403
+from .sweep import *  # noqa: F403
 from .config import ConfigError, RunConfig, parse_config
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EmitterParams",
-    "DriveParams",
-    "TripletHamiltonian",
-    "DressedTriplet",
-    "reduced_hamiltonian",
-    "diagonalize",
-    "delta_from_field",
-    "Transition",
-    "BroadeningModel",
-    "GridSpec",
-    "SpectrumGrid",
-    "CENTRAL",
-    "SIDE",
-    "K_B",
-    "transitions",
-    "linewidth",
-    "hwhm",
-    "synthesize",
-    "count_peaks",
-    "resolvable_maxima",
-    "SweepRange",
-    "EnergyCurves",
-    "TransitionBranches",
-    "IntensityMap",
-    "BRANCH_LABELS",
-    "dressed_energy_curves",
-    "transition_branches",
-    "temperature_series",
-    "intensity_map",
-    "delta_values_from_field",
-    "RunConfig",
-    "ConfigError",
-    "parse_config",
-    "__version__",
-]
+__all__ = [*core.__all__, *spectrum.__all__, *sweep.__all__, "RunConfig", "ConfigError", "parse_config", "__version__"]

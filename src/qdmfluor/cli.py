@@ -113,7 +113,6 @@ def cmd_map(args: argparse.Namespace) -> int:
         cfg.drive(),
         cfg.broadening(),
         temp_k=cfg.temp_k,
-        workers=args.workers,
     )
     rows = (
         [_fnum(delta), _fnum(dp), _fnum(result.values[r, c])]
@@ -137,12 +136,15 @@ def _parse_temps(raw: str) -> list[float]:
 def cmd_tempseries(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     temps = _parse_temps(args.temps)
-    grids = temperature_series(
-        temps, cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid(), workers=args.workers
-    )
     out = Path(args.out or "tempseries.csv")
-    for temp, grid in zip(temps, grids):
+    paths: dict[Path, float] = {}
+    for temp in temps:
         path = out.with_name(f"{out.stem}_T{temp:g}K{out.suffix or '.csv'}")
+        if path in paths:
+            raise _CliError(1, f"--temps {paths[path]!r} and {temp!r} would both write {path.name}")
+        paths[path] = temp
+    grids = temperature_series(temps, cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
+    for path, grid in zip(paths, grids):
         rows = ([_fnum(x), _fnum(y)] for x, y in zip(grid.delta_prime, grid.intensity))
         _write_csv(path, SPECTRUM_HEADER, rows)
     return 0
@@ -162,9 +164,14 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 def _floats(rows: list[list[str]], col: int, path: Path) -> np.ndarray:
     try:
-        return np.array([float(row[col]) for row in rows])
+        values = np.array([float(row[col]) for row in rows])
     except (ValueError, IndexError) as exc:
         raise _CliError(1, f"{path}: schema mismatch: {exc}") from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        line = int(np.argmin(finite)) + 2
+        raise _CliError(1, f"{path}: line {line}: non-finite value {rows[line - 2][col]!r}")
+    return values
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
@@ -201,6 +208,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
         x_axis = np.unique(dps)
         if d_axis.size * x_axis.size != vals.size:
             raise _CliError(1, f"{path}: schema mismatch: map is not a full grid")
+        if not (
+            np.array_equal(deltas, np.repeat(d_axis, x_axis.size))
+            and np.array_equal(dps, np.tile(x_axis, d_axis.size))
+        ):
+            raise _CliError(1, f"{path}: schema mismatch: rows are not in ascending splitting-major order")
         grid = vals.reshape(d_axis.size, x_axis.size)
         svg = svgplot.heatmap(x_axis, d_axis, grid, x_label="delta_prime (eV)", y_label="delta (eV)")
     else:
@@ -219,7 +231,7 @@ def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
     parser.add_argument("--temp", type=float, default=None, help="temperature in K, overrides temp_k")
     parser.add_argument("--delta", type=float, default=None, help="exciton splitting in eV, overrides delta_ev")
     if workers:
-        parser.add_argument("--workers", type=int, default=1, help="concurrent sweep workers (default 1)")
+        parser.add_argument("--workers", type=int, default=1, help="ignored (sweeps are array-evaluated)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -26,6 +26,7 @@ __all__ = [
     "DressedTriplet",
     "reduced_hamiltonian",
     "diagonalize",
+    "dressed_states",
     "delta_from_field",
 ]
 
@@ -163,17 +164,7 @@ class DressedTriplet:
             raise ValueError(f"energies must have shape (3,), got {energies.shape}")
         if coeffs.shape != (3, 3):
             raise ValueError(f"coeffs must be 3x3, got shape {coeffs.shape}")
-        if not (np.isfinite(energies).all() and np.isfinite(coeffs).all()):
-            raise ValueError("energies and coeffs must be finite")
-        if not (energies[0] <= energies[1] <= energies[2]):
-            raise ValueError(f"energies must be ascending, got {energies}")
-        gram = coeffs @ coeffs.T
-        if np.abs(gram - np.eye(3)).max() > _ORTHO_TOL:
-            raise ValueError("coeff rows must be orthonormal within 1e-12")
-        for row in coeffs:
-            lead = _leading_component(row)
-            if row[lead] < 0.0:
-                raise ValueError("sign convention violated: leading component negative")
+        _check_eigensystems(energies, coeffs)
         _require_finite("e_ref", self.e_ref)
         energies.setflags(write=False)
         coeffs.setflags(write=False)
@@ -181,10 +172,42 @@ class DressedTriplet:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def _leading_component(row: np.ndarray) -> int:
-    mag = np.abs(row)
-    # First component whose magnitude is within _TIE_RTOL of the maximum.
-    return int(np.argmax(mag >= mag.max() * (1.0 - _TIE_RTOL)))
+def _leading_negative(rows: np.ndarray) -> np.ndarray:
+    """Per row of rows (..., 3): is its leading component negative?
+
+    The leading component is the first whose magnitude is within _TIE_RTOL
+    of the row maximum.
+    """
+    mag = np.abs(rows)
+    lead = np.argmax(mag >= mag.max(axis=-1, keepdims=True) * (1.0 - _TIE_RTOL), axis=-1)
+    return np.take_along_axis(rows, lead[..., None], axis=-1)[..., 0] < 0.0
+
+
+def _check_eigensystems(energies: np.ndarray, coeffs: np.ndarray) -> None:
+    """Validate energies (..., 3) and coeffs (..., 3, 3) as in DressedTriplet."""
+    if not (np.isfinite(energies).all() and np.isfinite(coeffs).all()):
+        raise ValueError("energies and coeffs must be finite")
+    e1, e2, e3 = np.moveaxis(energies, -1, 0)
+    if not ((e1 <= e2) & (e2 <= e3)).all():
+        raise ValueError(f"energies must be ascending, got {energies}")
+    gram = coeffs @ np.swapaxes(coeffs, -1, -2)
+    if np.abs(gram - np.eye(3)).max() > _ORTHO_TOL:
+        raise ValueError("coeff rows must be orthonormal within 1e-12")
+    if _leading_negative(coeffs).any():
+        raise ValueError("sign convention violated: leading component negative")
+
+
+def _reduced_matrices(emitter: EmitterParams, drive: DriveParams, deltas: np.ndarray) -> np.ndarray:
+    """Stack of reduced triplet matrices, shape (N, 3, 3), one per splitting in deltas."""
+    bad = deltas[~np.isfinite(deltas)]
+    if bad.size:
+        raise ValueError(f"delta must be finite, got {float(bad[0])!r}")
+    m = np.zeros((deltas.size, 3, 3))
+    m[:, 0, 0] = drive.hw_l + emitter.e0 - emitter.e_xd
+    m[:, 0, 1] = m[:, 1, 0] = drive.g_sqrt_n
+    m[:, 1, 2] = m[:, 2, 1] = emitter.t
+    m[:, 2, 2] = deltas
+    return m
 
 
 def reduced_hamiltonian(emitter: EmitterParams, drive: DriveParams) -> TripletHamiltonian:
@@ -199,18 +222,37 @@ def reduced_hamiltonian(emitter: EmitterParams, drive: DriveParams) -> TripletHa
     and e_ref = e_xd + (n - 1) * hw_l.  At exact resonance (hw_l = e_xd - e0)
     the top-left entry vanishes.
     """
-    delta_l = drive.hw_l + emitter.e0 - emitter.e_xd
-    gsn = drive.g_sqrt_n
-    t = emitter.t
-    m = np.array(
-        [
-            [delta_l, gsn, 0.0],
-            [gsn, 0.0, t],
-            [0.0, t, emitter.delta],
-        ]
-    )
+    m = _reduced_matrices(emitter, drive, np.array([emitter.delta]))[0]
     e_ref = emitter.e_xd + (drive.n - 1) * drive.hw_l
     return TripletHamiltonian(m=m, e_ref=e_ref)
+
+
+def _eigensystems(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energies (N, 3) and sign-fixed coeffs (N, 3, 3) of a stack of reduced matrices.
+
+    One stacked eigh call; it gives the same bits as one call per matrix.
+    Fully decoupled (diagonal) matrices are solved exactly instead, so the
+    bare energies are reproduced bit for bit.
+    """
+    energies, evecs = np.linalg.eigh(m)
+    coeffs = np.swapaxes(evecs, -1, -2)
+    coeffs = np.where(_leading_negative(coeffs)[..., None], -coeffs, coeffs)
+    decoupled = (m[:, 0, 1] == 0.0) & (m[:, 1, 2] == 0.0)
+    if decoupled.any():
+        diag = np.diagonal(m[decoupled], axis1=1, axis2=2)
+        order = np.argsort(diag, axis=1, kind="stable")
+        energies[decoupled] = np.take_along_axis(diag, order, axis=1)
+        coeffs[decoupled] = np.eye(3)[order]
+    _check_eigensystems(energies, coeffs)
+    return energies, coeffs
+
+
+def dressed_states(emitter: EmitterParams, drive: DriveParams, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dressed energies (N, 3) and coeffs (N, 3, 3) at each splitting in deltas.
+
+    Row r equals, to the last bit, diagonalize() of the emitter with delta = deltas[r].
+    """
+    return _eigensystems(_reduced_matrices(emitter, drive, np.asarray(deltas, dtype=float)))
 
 
 def diagonalize(h: TripletHamiltonian) -> DressedTriplet:
@@ -221,19 +263,8 @@ def diagonalize(h: TripletHamiltonian) -> DressedTriplet:
     Hamiltonian is handled exactly so the bare energies are reproduced
     bit for bit.
     """
-    m = h.m
-    if m[0, 1] == 0.0 and m[1, 2] == 0.0:
-        order = np.argsort(np.diag(m), kind="stable")
-        energies = np.diag(m)[order].copy()
-        coeffs = np.eye(3)[order]
-        return DressedTriplet(energies=energies, coeffs=coeffs, e_ref=h.e_ref)
-
-    evals, evecs = np.linalg.eigh(m)
-    coeffs = evecs.T.copy()
-    for k in range(3):
-        if coeffs[k, _leading_component(coeffs[k])] < 0.0:
-            coeffs[k] = -coeffs[k]
-    return DressedTriplet(energies=evals, coeffs=coeffs, e_ref=h.e_ref)
+    energies, coeffs = _eigensystems(h.m[None])
+    return DressedTriplet(energies=energies[0], coeffs=coeffs[0], e_ref=h.e_ref)
 
 
 def delta_from_field(delta_zero_field: float, d_nm: float, field_kv_per_cm: float) -> float:

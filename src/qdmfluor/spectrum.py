@@ -37,13 +37,17 @@ __all__ = [
     "CENTRAL",
     "SIDE",
     "K_B",
+    "BRANCH_LABELS",
     "Transition",
     "BroadeningModel",
     "GridSpec",
     "SpectrumGrid",
+    "line_table",
     "transitions",
     "linewidth",
     "hwhm",
+    "line_widths",
+    "lorentz_sum",
     "synthesize",
     "count_peaks",
     "resolvable_maxima",
@@ -54,6 +58,13 @@ SIDE = "side"
 
 K_B = 8.617333262e-5
 """Boltzmann constant in eV/K."""
+
+BRANCH_LABELS: tuple[tuple[int, int], ...] = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
+"""Fixed (upper, lower) labeling of the nine lines, row-major; the column order of line tables."""
+
+_UPPER = np.array([i - 1 for i, _ in BRANCH_LABELS])
+_LOWER = np.array([j - 1 for _, j in BRANCH_LABELS])
+_KINDS = tuple(CENTRAL if i == j else SIDE for i, j in BRANCH_LABELS)
 
 
 @dataclass(frozen=True)
@@ -181,29 +192,32 @@ class SpectrumGrid:
     def npoints(self) -> int:
         return int(self.delta_prime.size)
 
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.delta_prime.tolist(), self.intensity.tolist()))
 
+def line_table(energies: np.ndarray, coeffs: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Detunings a and luminosities lum, each (N, 9) in BRANCH_LABELS order.
 
-def transitions(dressed: DressedTriplet, mu: float) -> list[Transition]:
-    """Enumerate the nine transitions of a dressed triplet, (i, j) ordered.
-
-    The lower state j supplies the C_g factor and the upper state i the
-    C_XD factor; see the module docstring for the convention.
+    energies (N, 3) and coeffs (N, 3, 3) are N stacked dressed states.  The
+    lower state j supplies the C_g factor and the upper state i the C_XD factor.
     """
     if not math.isfinite(mu) or mu < 0.0:
         raise ValueError(f"dipole scale mu must be finite and non-negative, got {mu!r}")
-    energies = dressed.energies
-    coeffs = dressed.coeffs
-    mu2 = mu * mu
-    out: list[Transition] = []
-    for i in range(3):
-        for j in range(3):
-            a = 0.0 if i == j else float(energies[i] - energies[j])
-            lum = mu2 * float(coeffs[j, 0]) ** 2 * float(coeffs[i, 1]) ** 2
-            kind = CENTRAL if i == j else SIDE
-            out.append(Transition(i=i + 1, j=j + 1, a=a, lum=lum, kind=kind))
-    return out
+    a = energies[:, _UPPER] - energies[:, _LOWER]
+    # Square through Python floats: float ** 2 is libm pow, which differs
+    # from x * x (and np.square) in the last bit for some x.
+    sq = (coeffs[:, :, :2].astype(object) ** 2).astype(float)
+    lum = mu * mu * sq[:, _LOWER, 0] * sq[:, _UPPER, 1]
+    if not (np.isfinite(a).all() and np.isfinite(lum).all()):
+        raise ValueError("a and lum must be finite")
+    return a, lum
+
+
+def transitions(dressed: DressedTriplet, mu: float) -> list[Transition]:
+    """Enumerate the nine transitions of a dressed triplet, (i, j) ordered."""
+    a, lum = line_table(dressed.energies[None], dressed.coeffs[None], mu)
+    return [
+        Transition(i=i, j=j, a=float(a[0, k]), lum=float(lum[0, k]), kind=_KINDS[k])
+        for k, (i, j) in enumerate(BRANCH_LABELS)
+    ]
 
 
 def linewidth(model: BroadeningModel, temp_k: float) -> float:
@@ -233,6 +247,33 @@ def hwhm(kind: str, gamma_pop: float, gamma_rad: float) -> float:
     raise ValueError(f"unknown peak kind {kind!r}")
 
 
+def line_widths(gammas: list[float], gamma_rad: float) -> np.ndarray:
+    """Half widths, shape (len(gammas), 9) in BRANCH_LABELS order, one row per Gamma."""
+    return np.array([[hwhm(kind, g, gamma_rad) for kind in _KINDS] for g in gammas])
+
+
+def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row r of the result is the sum over lines k of the Lorentzians on x.
+
+    a, lum and f (half widths) broadcast to one (N, K) line table.  Each
+    line with nonzero luminosity adds I * f^2 / ((x - a)^2 + f^2) with
+    I = lum / f, in column order; lines with zero luminosity add nothing.
+    """
+    a, lum, f = np.broadcast_arrays(a, lum, f)
+    scale = lum / f * f * f
+    f2 = f * f
+    y = np.zeros((a.shape[0], x.size))
+    term = np.empty_like(y)  # reused for every line: the footprint stays at two (N, len(x)) arrays
+    for k in range(a.shape[1]):
+        np.subtract(x, a[:, k, None], out=term)
+        np.square(term, out=term)
+        np.add(term, f2[:, k, None], out=term)
+        np.divide(scale[:, k, None], term, out=term)
+        term[lum[:, k] == 0.0] = 0.0  # a dark line adds exactly nothing, even where its term is 0/0
+        y += term
+    return y
+
+
 def synthesize(
     trans: list[Transition],
     gamma_pop: float,
@@ -248,19 +289,14 @@ def synthesize(
     """
     if not trans:
         raise ValueError("transition list must not be empty")
-    # Width validation up front, independent of luminosities.
-    hwhm(CENTRAL, gamma_pop, gamma_rad)
     x = grid.values()
-    y = np.zeros_like(x)
-    for tr in trans:
-        if tr.lum == 0.0:
-            continue
-        f = hwhm(tr.kind, gamma_pop, gamma_rad)
-        y += (tr.lum / f) * f * f / ((x - tr.a) ** 2 + f * f)
+    a = np.array([[tr.a for tr in trans]])
+    lum = np.array([[tr.lum for tr in trans]])
+    f = np.array([[hwhm(tr.kind, gamma_pop, gamma_rad) for tr in trans]])
     full_meta = dict(meta) if meta else {}
     full_meta.setdefault("gamma_pop_ev", gamma_pop)
     full_meta.setdefault("gamma_rad_ev", gamma_rad)
-    return SpectrumGrid(delta_prime=x, intensity=y, meta=full_meta)
+    return SpectrumGrid(delta_prime=x, intensity=lorentz_sum(a, lum, f, x)[0], meta=full_meta)
 
 
 def count_peaks(

@@ -1,26 +1,31 @@
 """Parameter sweeps: dressed-energy curves, transition branches, temperature
 series, and the 2-d intensity map over (exciton splitting, detuning).
 
-Every row of a sweep is an independent pure-function evaluation, so sweeps
-may fan out over a thread pool; assembly preserves the input ordering and
-single-threaded runs produce bit-identical results.
+A sweep is evaluated as arrays in one pass: one stacked eigensolve over all
+splittings (:func:`core.dressed_states`), one (N, 9) line table
+(:func:`spectrum.line_table`) and one broadcast Lorentzian sum
+(:func:`spectrum.lorentz_sum`).  Row r of every result equals the
+standalone per-triplet computation at that row's splitting or temperature,
+to the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence, TypeVar
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .core import DressedTriplet, DriveParams, EmitterParams, delta_from_field, diagonalize, reduced_hamiltonian
-from .spectrum import BroadeningModel, GridSpec, SpectrumGrid, linewidth, synthesize, transitions
+from .core import DriveParams, EmitterParams, delta_from_field, dressed_states
+from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, linewidth, lorentz_sum
+
+# perfbench/layers.py wraps these per-triplet names in this namespace; the sweeps do not call them.
+from .core import diagonalize, reduced_hamiltonian  # noqa: F401
+from .spectrum import synthesize, transitions  # noqa: F401
 
 __all__ = [
     "AXES",
-    "BRANCH_LABELS",
     "SweepRange",
     "EnergyCurves",
     "TransitionBranches",
@@ -32,12 +37,7 @@ __all__ = [
     "delta_values_from_field",
 ]
 
-AXES = ("delta", "temperature", "field")
-
-BRANCH_LABELS: tuple[tuple[int, int], ...] = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
-"""Fixed (upper, lower) labeling of the nine branches, row-major."""
-
-_T = TypeVar("_T")
+AXES = ("delta", "field")
 
 
 @dataclass(frozen=True)
@@ -127,27 +127,16 @@ class IntensityMap:
         object.__setattr__(self, "values", v)
 
 
-def _map_ordered(fn: Callable[[_T], object], items: Sequence[_T], workers: int) -> list:
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _require_delta_axis(rng: SweepRange) -> None:
     if rng.axis != "delta":
         raise ValueError(f"sweep axis must be 'delta', got {rng.axis!r}")
-
-
-def _dressed_at(emitter: EmitterParams, drive: DriveParams, delta: float) -> DressedTriplet:
-    return diagonalize(reduced_hamiltonian(replace(emitter, delta=delta), drive))
 
 
 def dressed_energy_curves(rng: SweepRange, emitter: EmitterParams, drive: DriveParams) -> EnergyCurves:
     """Dressed energies E1 <= E2 <= E3 at each splitting value."""
     _require_delta_axis(rng)
     deltas = rng.values()
-    energies = np.stack([_dressed_at(emitter, drive, float(d)).energies for d in deltas])
+    energies, _ = dressed_states(emitter, drive, deltas)
     return EnergyCurves(delta=deltas, energies=energies)
 
 
@@ -159,11 +148,8 @@ def transition_branches(rng: SweepRange, emitter: EmitterParams, drive: DrivePar
     """
     _require_delta_axis(rng)
     deltas = rng.values()
-    rows = []
-    for d in deltas:
-        e = _dressed_at(emitter, drive, float(d)).energies
-        rows.append([e[i - 1] - e[j - 1] for i, j in BRANCH_LABELS])
-    return TransitionBranches(delta=deltas, a=np.array(rows))
+    a, _ = line_table(*dressed_states(emitter, drive, deltas), emitter.mu)
+    return TransitionBranches(delta=deltas, a=a)
 
 
 def temperature_series(
@@ -174,18 +160,21 @@ def temperature_series(
     grid: GridSpec,
     workers: int = 1,
 ) -> list[SpectrumGrid]:
-    """One spectrum per temperature on a shared grid, same transitions throughout."""
+    """One spectrum per temperature on a shared grid, same transitions throughout.
+
+    workers is accepted and ignored: all temperatures are evaluated as one array.
+    """
     temp_list = [float(t) for t in temps]
     if not temp_list:
         raise ValueError("temps must not be empty")
-    trans = transitions(_dressed_at(emitter, drive, emitter.delta), emitter.mu)
-
-    def one(temp_k: float) -> SpectrumGrid:
-        gamma = linewidth(model, temp_k)
-        meta = {"temp_k": temp_k, "delta_ev": emitter.delta}
-        return synthesize(trans, gamma, model.gamma_rad, grid, meta=meta)
-
-    return _map_ordered(one, temp_list, workers)
+    a, lum = line_table(*dressed_states(emitter, drive, [emitter.delta]), emitter.mu)
+    gammas = [linewidth(model, temp_k) for temp_k in temp_list]
+    x = grid.values()
+    rows = lorentz_sum(a, lum, line_widths(gammas, model.gamma_rad), x)
+    return [
+        SpectrumGrid(x, row, {"temp_k": t, "delta_ev": emitter.delta, "gamma_pop_ev": g, "gamma_rad_ev": model.gamma_rad})
+        for t, g, row in zip(temp_list, gammas, rows)
+    ]
 
 
 def intensity_map(
@@ -199,18 +188,15 @@ def intensity_map(
 ) -> IntensityMap:
     """Spectrum rows over a splitting sweep at fixed temperature.
 
-    Row r equals a standalone spectrum computed at delta_axis[r]; rows are
-    independent and the assembly order is the sweep order.
+    Row r equals a standalone spectrum computed at delta_axis[r].  workers
+    is accepted and ignored: all rows are evaluated as one array.
     """
     _require_delta_axis(delta_range)
     deltas = delta_range.values()
     gamma = linewidth(model, temp_k)
-
-    def one(delta: float) -> np.ndarray:
-        trans = transitions(_dressed_at(emitter, drive, delta), emitter.mu)
-        return synthesize(trans, gamma, model.gamma_rad, grid).intensity
-
-    rows = _map_ordered(one, [float(d) for d in deltas], workers)
+    a, lum = line_table(*dressed_states(emitter, drive, deltas), emitter.mu)
+    dp = grid.values()
+    values = lorentz_sum(a, lum, line_widths([gamma], model.gamma_rad), dp)
     meta = {
         "temp_k": temp_k,
         "gamma_pop_ev": gamma,
@@ -219,7 +205,7 @@ def intensity_map(
         "g_sqrt_n_ev": drive.g_sqrt_n,
         "mu": emitter.mu,
     }
-    return IntensityMap(delta_axis=deltas, dp_axis=grid.values(), values=np.stack(rows), meta=meta)
+    return IntensityMap(delta_axis=deltas, dp_axis=dp, values=values, meta=meta)
 
 
 def delta_values_from_field(

@@ -177,6 +177,15 @@ def test_bad_temps_exit_1(cfg_path, tmp_path, capsys):
     assert "--temps" in capsys.readouterr().err
 
 
+def test_colliding_tempseries_names_exit_1(cfg_path, tmp_path, capsys):
+    # {temp:g} renders both as 20, so the second spectrum would overwrite the first.
+    out = tmp_path / "s.csv"
+    assert main(["tempseries", "--config", str(cfg_path), "--out", str(out), "--temps", "5,20,20.0000001"]) == 1
+    err = capsys.readouterr().err
+    assert "20.0" in err and "20.0000001" in err and "s_T20K.csv" in err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 class TestPlot:
     def test_spectrum_line_plot(self, cfg_path, tmp_path):
         csv_path = tmp_path / "spectrum.csv"
@@ -222,6 +231,20 @@ class TestPlot:
         assert main(["spectrum", "--config", str(cfg_path), "--out", str(csv_path)]) == 0
         assert main(["plot", str(csv_path), "--kind", "heatmap"]) == 1
         assert "schema mismatch" in capsys.readouterr().err
+
+    def test_heatmap_rejects_non_finite_intensity(self, tmp_path, capsys):
+        csv_path = tmp_path / "map.csv"
+        csv_path.write_text("delta_ev,delta_prime_ev,intensity\n0.0,-0.1,1.0\n0.0,0.1,2.0\n0.01,-0.1,nan\n0.01,0.1,3.0\n")
+        assert main(["plot", str(csv_path), "--kind", "heatmap"]) == 1
+        assert "line 4: non-finite value 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "map.svg").exists()
+
+    def test_heatmap_rejects_shuffled_rows(self, tmp_path, capsys):
+        csv_path = tmp_path / "map.csv"
+        csv_path.write_text("delta_ev,delta_prime_ev,intensity\n0.0,-0.1,1.0\n0.01,-0.1,2.0\n0.0,0.1,4.0\n0.01,0.1,3.0\n")
+        assert main(["plot", str(csv_path), "--kind", "heatmap"]) == 1
+        assert "splitting-major" in capsys.readouterr().err
+        assert not (tmp_path / "map.svg").exists()
 
     def test_plot_determinism(self, cfg_path, tmp_path):
         csv_path = tmp_path / "spectrum.csv"
