@@ -4,16 +4,22 @@ Subcommands: spectrum, transitions, branches, map, tempseries, plot.
 Exit codes: 0 success, 1 configuration or input error, 2 I/O error.
 CSV floats use the shortest round-trip decimal form, so re-parsing a file
 reproduces the computed values exactly and repeated runs are byte
-identical.
+identical.  Tables are formatted a column at a time, and every output is
+written to a temp file beside its target and renamed into place.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import functools
+import os
 import sys
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +36,8 @@ TRANSITIONS_HEADER = ["i", "j", "kind", "delta_prime_ev", "luminosity", "hwhm_ev
 BRANCHES_HEADER = ["delta_ev", "i", "j", "delta_prime_ev"]
 MAP_HEADER = ["delta_ev", "delta_prime_ev", "intensity"]
 
+_ROWS_PER_CHUNK = 1024
+
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -38,19 +46,54 @@ class _CliError(Exception):
         super().__init__(message)
 
 
-def _fnum(value: float) -> str:
-    # repr of a Python float is the shortest string that round-trips.
-    return repr(float(value))
+def _column(values) -> list[str]:
+    """Text of a float column: repr of a Python float is the shortest string that round-trips."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv(header: list[str], blocks: Iterable[tuple[Iterable[str], ...]]) -> Iterator[str]:
+    """CSV text in chunks: the header line, then the rows of each block of text columns.
+
+    No field ever needs quoting (floats, integers and the line kinds), so a
+    row is its fields joined by commas, and every line ends in a newline.
+    Rows are joined _ROWS_PER_CHUNK at a time, so the text held at once stays
+    small: the whole file as one string would set the process's peak memory.
+    """
+    yield ",".join(header) + "\n"
+    for columns in blocks:
+        rows = map(",".join, zip(*columns))
+        while text := "\n".join(islice(rows, _ROWS_PER_CHUNK)):
+            yield text + "\n"
+
+
+def _write_files(files: dict[Path, Iterable[str]]) -> None:
+    """Write each file's text chunks to a temp file beside it, then rename all into place.
+
+    Nothing is renamed before every file is written, and the temp files are
+    removed on any failure, so a command never leaves a partial set of outputs.
+    A symlinked path is written through to its target, as open() would; an
+    existing target that is not a regular file (a device such as /dev/null,
+    a pipe, a directory) is refused rather than replaced.
+    """
+    pending: dict[Path, Path] = {}
     try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        for path, chunks in files.items():
+            target = Path(os.path.realpath(path))
+            if target.exists() and not target.is_file():
+                raise OSError(f"{target} is not a regular file")
+            tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
+            pending[tmp] = target
+            with open(tmp, "w", newline="") as fh:
+                fh.writelines(chunks)
+        for tmp, path in list(pending.items()):
+            os.replace(tmp, path)
+            del pending[tmp]
     except OSError as exc:
         raise _CliError(2, f"cannot write {path}: {exc}") from exc
+    finally:
+        for tmp in pending:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -76,31 +119,36 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     trans, gamma = _spectrum_components(cfg)
     grid = synthesize(trans, gamma, cfg.gamma_rad_ev, cfg.grid())
-    rows = ([_fnum(x), _fnum(y)] for x, y in zip(grid.delta_prime, grid.intensity))
-    _write_csv(Path(args.out or "spectrum.csv"), SPECTRUM_HEADER, rows)
+    columns = (_column(grid.delta_prime), _column(grid.intensity))
+    _write_files({Path(args.out or "spectrum.csv"): _csv(SPECTRUM_HEADER, [columns])})
     return 0
 
 
 def cmd_transitions(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     trans, gamma = _spectrum_components(cfg)
-    rows = []
-    for tr in trans:
-        width = hwhm(tr.kind, gamma, cfg.gamma_rad_ev)
-        rows.append([tr.i, tr.j, tr.kind, _fnum(tr.a), _fnum(tr.lum), _fnum(width), _fnum(tr.lum / width)])
-    _write_csv(Path(args.out or "transitions.csv"), TRANSITIONS_HEADER, rows)
+    widths = [hwhm(tr.kind, gamma, cfg.gamma_rad_ev) for tr in trans]
+    columns = (
+        [f"{tr.i},{tr.j},{tr.kind}" for tr in trans],
+        _column([tr.a for tr in trans]),
+        _column([tr.lum for tr in trans]),
+        _column(widths),
+        _column([tr.lum / width for tr, width in zip(trans, widths)]),
+    )
+    _write_files({Path(args.out or "transitions.csv"): _csv(TRANSITIONS_HEADER, [columns])})
     return 0
 
 
 def cmd_branches(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     table = transition_branches(cfg.delta_range(), cfg.emitter(), cfg.drive())
-    rows = (
-        [_fnum(delta), i, j, _fnum(table.a[r, k])]
-        for r, delta in enumerate(table.delta)
-        for k, (i, j) in enumerate(BRANCH_LABELS)
+    labels = [f"{i},{j}" for i, j in BRANCH_LABELS]
+    columns = (
+        [delta for delta in _column(table.delta) for _ in labels],
+        labels * table.delta.size,
+        _column(table.a.ravel()),
     )
-    _write_csv(Path(args.out or "branches.csv"), BRANCHES_HEADER, rows)
+    _write_files({Path(args.out or "branches.csv"): _csv(BRANCHES_HEADER, [columns])})
     return 0
 
 
@@ -114,12 +162,13 @@ def cmd_map(args: argparse.Namespace) -> int:
         cfg.broadening(),
         temp_k=cfg.temp_k,
     )
-    rows = (
-        [_fnum(delta), _fnum(dp), _fnum(result.values[r, c])]
-        for r, delta in enumerate(result.delta_axis)
-        for c, dp in enumerate(result.dp_axis)
+    dps = _column(result.dp_axis)
+    # One block per splitting row: only one row of values is formatted at a time.
+    blocks = (
+        (repeat(delta), dps, _column(row))
+        for delta, row in zip(_column(result.delta_axis), result.values)
     )
-    _write_csv(Path(args.out or "map.csv"), MAP_HEADER, rows)
+    _write_files({Path(args.out or "map.csv"): _csv(MAP_HEADER, blocks)})
     return 0
 
 
@@ -144,9 +193,12 @@ def cmd_tempseries(args: argparse.Namespace) -> int:
             raise _CliError(1, f"--temps {paths[path]!r} and {temp!r} would both write {path.name}")
         paths[path] = temp
     grids = temperature_series(temps, cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
-    for path, grid in zip(paths, grids):
-        rows = ([_fnum(x), _fnum(y)] for x, y in zip(grid.delta_prime, grid.intensity))
-        _write_csv(path, SPECTRUM_HEADER, rows)
+    # Every spectrum of the series shares one detuning grid.
+    dps = _column(grids[0].delta_prime)
+    _write_files({
+        path: _csv(SPECTRUM_HEADER, [(dps, _column(grid.intensity))])
+        for path, grid in zip(paths, grids)
+    })
     return 0
 
 
@@ -164,7 +216,7 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 def _floats(rows: list[list[str]], col: int, path: Path) -> np.ndarray:
     try:
-        values = np.array([float(row[col]) for row in rows])
+        values = np.fromiter(map(float, map(itemgetter(col), rows)), dtype=float, count=len(rows))
     except (ValueError, IndexError) as exc:
         raise _CliError(1, f"{path}: schema mismatch: {exc}") from exc
     finite = np.isfinite(values)
@@ -186,12 +238,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
     elif header == BRANCHES_HEADER and args.kind == "line":
         deltas = _floats(rows, 0, path)
         a_vals = _floats(rows, 3, path)
-        labels = [(row[1], row[2]) for row in rows]
+        i_col = np.array([row[1] for row in rows])
+        j_col = np.array([row[2] for row in rows])
         series = []
         x = None
         for i, j in ((str(i), str(j)) for i, j in BRANCH_LABELS):
-            mask = [k for k, lab in enumerate(labels) if lab == (i, j)]
-            if not mask:
+            mask = (i_col == i) & (j_col == j)
+            if not mask.any():
                 raise _CliError(1, f"{path}: schema mismatch: missing branch ({i},{j})")
             xs = deltas[mask]
             if x is None:
@@ -218,10 +271,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     else:
         raise _CliError(1, f"{path}: schema mismatch: header {header!r} does not fit kind {args.kind!r}")
 
-    try:
-        Path(out).write_text(svg)
-    except OSError as exc:
-        raise _CliError(2, f"cannot write {out}: {exc}") from exc
+    _write_files({out: [svg]})
     return 0
 
 
@@ -234,6 +284,7 @@ def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
         parser.add_argument("--workers", type=int, default=1, help="ignored (sweeps are array-evaluated)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdmfluor",

@@ -45,6 +45,11 @@ DEFAULTS: dict[str, float | int] = {
 
 REQUIRED_KEYS = ("e_xd_ev", "hw_l_ev", "t_ev")
 
+# Largest npoints * sweep_steps a config may ask for: one (sweep_steps,
+# npoints) float64 map buffer is then at most 134 MB.  The defaults ask for
+# 241 * 7001 = 1.69M cells.
+MAX_CELLS = 2**24
+
 _INT_KEYS = {"n", "npoints", "sweep_steps"}
 
 _ALL_KEYS = set(DEFAULTS) | set(REQUIRED_KEYS) | {"g_ev", "n", "g_sqrt_n_ev"}
@@ -235,6 +240,14 @@ def parse_config(text: str) -> RunConfig:
     check(values["dp_min_ev"] < values["dp_max_ev"], "dp_min_ev", "need dp_min_ev < dp_max_ev")
     check(values["sweep_lo"] < values["sweep_hi"], "sweep_lo", "need sweep_lo < sweep_hi")
     check(values["sweep_steps"] >= 2, "sweep_steps", "sweep_steps must be >= 2")
+    if values["npoints"] >= 2 and values["sweep_steps"] >= 2:
+        cells = values["npoints"] * values["sweep_steps"]
+        check(
+            cells <= MAX_CELLS,
+            "npoints" if "npoints" in lines else "sweep_steps",
+            f"npoints * sweep_steps = {values['npoints']} * {values['sweep_steps']} = {cells} "
+            f"exceeds the cell budget of {MAX_CELLS}",
+        )
     check(values["energy_tol_ev"] > 0.0, "energy_tol_ev", "energy_tol_ev must be positive")
     check(
         0.0 <= values["intensity_floor"] < 1.0,

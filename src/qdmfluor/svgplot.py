@@ -77,7 +77,7 @@ def _color(frac: float) -> str:
 
 
 class _Frame:
-    """Maps data coordinates into the plot rectangle (y grows upward)."""
+    """Maps data coordinates, scalars or arrays, into the plot rectangle (y grows upward)."""
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi):
         if x_hi <= x_lo:
@@ -170,11 +170,13 @@ def line_chart(
 
     parts: list[str] = []
     body: list[str] = []
+    px = frame.x(x).tolist()
     for idx, (label, y) in enumerate(series):
         y = np.asarray(y, dtype=float)
         if y.shape != x.shape:
             raise ValueError(f"series {label!r} length does not match x")
-        points = " ".join(f"{_fmt(frame.x(a))},{_fmt(frame.y(b))}" for a, b in zip(x, y))
+        # Same format as _fmt, applied to whole pixel columns.
+        points = " ".join(map("{:.2f},{:.2f}".format, px, frame.y(y).tolist()))
         color = _PALETTE[idx % len(_PALETTE)]
         body.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         if len(series) > 1 and label:

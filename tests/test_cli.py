@@ -1,11 +1,28 @@
 import csv
+import io
 import math
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qdmfluor import (
+    BRANCH_LABELS,
+    diagonalize,
+    hwhm,
+    intensity_map,
+    linewidth,
+    parse_config,
+    reduced_hamiltonian,
+    synthesize,
+    temperature_series,
+    transition_branches,
+    transitions,
+)
+from qdmfluor import cli
 from qdmfluor.cli import main
 
 MINIMAL = """\
@@ -32,6 +49,103 @@ def _read(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def _reference_csv(header, rows):
+    """Expected file bytes, written one cell at a time through csv.writer.
+
+    Float cells are given as repr strings, the shortest text that round-trips.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _r(value):
+    return repr(float(value))
+
+
+def _assert_reparses_bitwise(path, columns):
+    """Re-parsing the file gives exactly the library's floats, column by column."""
+    _, rows = _read(path)
+    for col, expected in columns.items():
+        parsed = np.array([float(row[col]) for row in rows])
+        assert parsed.tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+def test_outputs_match_per_cell_reference(cfg_path, tmp_path):
+    cfg = parse_config(SMALL)
+    dressed = diagonalize(reduced_hamiltonian(cfg.emitter(), cfg.drive()))
+    trans = transitions(dressed, cfg.mu)
+    gamma = linewidth(cfg.broadening(), cfg.temp_k)
+    base = ["--config", str(cfg_path), "--out"]
+
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", *base, str(out)]) == 0
+    grid = synthesize(trans, gamma, cfg.gamma_rad_ev, cfg.grid())
+    rows = [[_r(x), _r(y)] for x, y in zip(grid.delta_prime, grid.intensity)]
+    assert out.read_bytes() == _reference_csv(cli.SPECTRUM_HEADER, rows)
+    _assert_reparses_bitwise(out, {0: grid.delta_prime, 1: grid.intensity})
+
+    out = tmp_path / "transitions.csv"
+    assert main(["transitions", *base, str(out)]) == 0
+    widths = [hwhm(tr.kind, gamma, cfg.gamma_rad_ev) for tr in trans]
+    rows = [[tr.i, tr.j, tr.kind, _r(tr.a), _r(tr.lum), _r(w), _r(tr.lum / w)] for tr, w in zip(trans, widths)]
+    assert out.read_bytes() == _reference_csv(cli.TRANSITIONS_HEADER, rows)
+    _assert_reparses_bitwise(out, {3: [tr.a for tr in trans], 5: widths})
+
+    out = tmp_path / "branches.csv"
+    assert main(["branches", *base, str(out)]) == 0
+    table = transition_branches(cfg.delta_range(), cfg.emitter(), cfg.drive())
+    rows = [
+        [_r(delta), i, j, _r(table.a[r, k])]
+        for r, delta in enumerate(table.delta)
+        for k, (i, j) in enumerate(BRANCH_LABELS)
+    ]
+    assert out.read_bytes() == _reference_csv(cli.BRANCHES_HEADER, rows)
+    _assert_reparses_bitwise(out, {0: np.repeat(table.delta, 9), 3: table.a.ravel()})
+
+    out = tmp_path / "map.csv"
+    assert main(["map", *base, str(out)]) == 0
+    imap = intensity_map(cfg.delta_range(), cfg.grid(), cfg.emitter(), cfg.drive(), cfg.broadening(),
+                         temp_k=cfg.temp_k)
+    rows = [
+        [_r(delta), _r(dp), _r(imap.values[r, c])]
+        for r, delta in enumerate(imap.delta_axis)
+        for c, dp in enumerate(imap.dp_axis)
+    ]
+    assert out.read_bytes() == _reference_csv(cli.MAP_HEADER, rows)
+    _assert_reparses_bitwise(out, {1: np.tile(imap.dp_axis, imap.delta_axis.size), 2: imap.values.ravel()})
+
+    out = tmp_path / "series.csv"
+    assert main(["tempseries", *base, str(out), "--temps", "5,20,40"]) == 0
+    grids = temperature_series([5.0, 20.0, 40.0], cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
+    for temp, grid in zip((5, 20, 40), grids):
+        path = tmp_path / f"series_T{temp}K.csv"
+        rows = [[_r(x), _r(y)] for x, y in zip(grid.delta_prime, grid.intensity)]
+        assert path.read_bytes() == _reference_csv(cli.SPECTRUM_HEADER, rows)
+        _assert_reparses_bitwise(path, {1: grid.intensity})
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(_FLOATS, min_size=n, max_size=n), st.lists(_FLOATS, min_size=n, max_size=n))))
+@example(columns=([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0],
+                  [1e-5, 1e-4, 0.0001, 9.999999999999999e-05, 1.7976931348623157e308, -1e300]))
+# Long enough to span three of the writer's row chunks.
+@example(columns=(np.linspace(-1.0, 1.0, 2 * cli._ROWS_PER_CHUNK + 1).tolist(),
+                  [float(k) for k in range(2 * cli._ROWS_PER_CHUNK + 1)]))
+def test_written_csv_reparses_to_the_same_floats(tmp_path_factory, columns):
+    # The CSV contract: any finite float column written by the CLI reads back bit for bit.
+    path = tmp_path_factory.mktemp("roundtrip") / "t.csv"
+    cli._write_files({path: cli._csv(cli.SPECTRUM_HEADER, [tuple(map(cli._column, columns))])})
+    assert path.read_bytes() == _reference_csv(cli.SPECTRUM_HEADER, [list(map(_r, row)) for row in zip(*columns)])
+    _assert_reparses_bitwise(path, dict(enumerate(columns)))
 
 
 def test_spectrum_roundtrip_and_exit_code(cfg_path, tmp_path):
@@ -169,6 +283,51 @@ def test_unwritable_output_exit_2(cfg_path, tmp_path, capsys):
     target = tmp_path / "no_such_dir" / "out.csv"
     assert main(["spectrum", "--config", str(cfg_path), "--out", str(target)]) == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_over_cell_budget_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(MINIMAL + "npoints = 100000\nsweep_steps = 1000\n")
+    out = tmp_path / "map.csv"
+    assert main(["map", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "npoints" in err and "sweep_steps" in err
+    assert not out.exists()
+
+
+def test_failed_tempseries_write_leaves_no_files(cfg_path, tmp_path, monkeypatch, capsys):
+    real_open = open
+    opened = []
+
+    def failing_open(path, *args, **kwargs):
+        opened.append(path)
+        if len(opened) == 2:
+            raise OSError(28, "No space left on device")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    out = tmp_path / "series.csv"
+    assert main(["tempseries", "--config", str(cfg_path), "--out", str(out), "--temps", "5,20,40"]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert len(opened) == 2
+    # Neither the first temperature's file nor any temp file is left behind.
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_output_through_symlink_and_non_regular_target(cfg_path, tmp_path, capsys):
+    real = tmp_path / "data" / "spectrum.csv"
+    real.parent.mkdir()
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(link)]) == 0
+    assert link.is_symlink() and real.read_text().startswith("delta_prime_ev,intensity\n")
+    # A target that is not a regular file (a pipe here, /dev/null in use) is refused, never replaced.
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(fifo)]) == 2
+    assert "not a regular file" in capsys.readouterr().err
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "link.csv", "pipe.csv", "run.cfg"]
 
 
 def test_bad_temps_exit_1(cfg_path, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qdmfluor import ConfigError, parse_config
+from qdmfluor.config import MAX_CELLS
 
 MINIMAL = """\
 e_xd_ev = 1.0
@@ -167,3 +168,20 @@ def test_optical_phonon_constraint():
     assert "delta_e_ev" in str(err.value)
     cfg = parse_config(MINIMAL + "b_ev = 1e-3\n")
     assert cfg.delta_e_ev == 36e-3
+
+
+def test_cell_budget_rejects_oversized_map_before_allocating():
+    defaults = parse_config(MINIMAL)
+    assert defaults.npoints * defaults.sweep_steps <= MAX_CELLS
+    # Exactly at the budget is accepted; one more splitting step is not.
+    at_budget = MINIMAL + "npoints = 65536\nsweep_steps = 256\n"
+    assert 65536 * 256 == MAX_CELLS
+    assert parse_config(at_budget).npoints == 65536
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "npoints = 65536\nsweep_steps = 257\n")
+    message = str(err.value)
+    assert "npoints" in message and "sweep_steps" in message and "cell budget" in message
+    assert "line 5" in message
+    # The default 241-step sweep caps npoints too, even if only npoints is set.
+    with pytest.raises(ConfigError, match="cell budget"):
+        parse_config(MINIMAL + "npoints = 70000\n")

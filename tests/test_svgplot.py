@@ -1,5 +1,10 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdmfluor import svgplot
 
@@ -82,3 +87,54 @@ def test_pool_max_exact_on_small_grid():
     pooled = svgplot._pool_max(values, max_rows=1, max_cols=2)
     assert pooled.shape == (1, 2)
     assert pooled.tolist() == [[6.0, 8.0]]
+
+
+def _reference_points(x, series):
+    """Polyline points as line_chart built them one point at a time.
+
+    The frame arithmetic of _Frame.x / _Frame.y and the _fmt format, applied
+    to each (x, y) pair of numpy scalars in turn.
+    """
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_all = np.concatenate(series)
+    y_lo, y_hi = float(y_all.min()), float(y_all.max())
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
+    px_lo, px_hi = 78, 720 - 24
+    py_lo, py_hi = 480 - 56, 40
+
+    def px(v):
+        f = (v - x_lo) / (x_hi - x_lo)
+        return px_lo + f * (px_hi - px_lo)
+
+    def py(v):
+        f = (v - y_lo) / (y_hi - y_lo)
+        return py_lo + f * (py_hi - py_lo)
+
+    return [" ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y)) for y in series]
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-5, 1e-4,
+            9.999999999999999e-05, 1.7976931348623157e308, -1.7976931348623157e308]
+_VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.integers(2, 40).flatmap(
+        lambda n: st.lists(st.lists(_VALUES, min_size=n, max_size=n), min_size=2, max_size=4)
+    )
+)
+@example(data=[[-0.0, 5e-324, 1e-4, 1e16], [1e-5, 9.999999999999999e-05, -0.0, 1.7976931348623157e308]])
+@example(data=[[-1.7976931348623157e308, 1.7976931348623157e308], [2.2250738585072014e-308, -5e-324]])
+def test_line_chart_points_match_per_point_reference(data):
+    x = np.array(data[0])
+    series = [np.array(y) for y in data[1:]]
+    # Ticks are not under test: nice_ticks does not terminate when a span is
+    # below the ulp of its ends (e.g. 1e16 .. 1e16 + 2), so the axes get none.
+    with np.errstate(all="ignore"), mock.patch.object(svgplot, "nice_ticks", lambda lo, hi: []):
+        svg = svgplot.line_chart(x, [(f"s{k}", y) for k, y in enumerate(series)])
+        expected = _reference_points(x, series)
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == expected
