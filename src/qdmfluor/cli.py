@@ -275,13 +275,20 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
     parser.add_argument("--config", required=True, help="path to the run configuration file")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--temp", type=float, default=None, help="temperature in K, overrides temp_k")
     parser.add_argument("--delta", type=float, default=None, help="exciton splitting in eV, overrides delta_ev")
     if workers:
-        parser.add_argument("--workers", type=int, default=1, help="ignored (sweeps are array-evaluated)")
+        parser.add_argument("--workers", type=_workers, default=1, help="ignored (sweeps are array-evaluated)")
 
 
 @functools.cache

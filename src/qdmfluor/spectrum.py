@@ -66,6 +66,9 @@ _UPPER = np.array([i - 1 for i, _ in BRANCH_LABELS])
 _LOWER = np.array([j - 1 for _, j in BRANCH_LABELS])
 _KINDS = tuple(CENTRAL if i == j else SIDE for i, j in BRANCH_LABELS)
 
+# Rows per lorentz_sum block: 64k cells (512 kB) stay in L2; 16k-256k measured, 64k fastest.
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Transition:
@@ -145,6 +148,8 @@ class GridSpec:
             raise ValueError("grid bounds must be finite")
         if not self.dp_min < self.dp_max:
             raise ValueError(f"need dp_min < dp_max, got [{self.dp_min}, {self.dp_max}]")
+        if not math.isfinite(self.dp_max - self.dp_min):
+            raise ValueError(f"grid span dp_max - dp_min overflows, got [{self.dp_min}, {self.dp_max}]")
         if not isinstance(self.npoints, int) or isinstance(self.npoints, bool):
             raise ValueError(f"npoints must be an integer, got {self.npoints!r}")
         if self.npoints < 2:
@@ -258,19 +263,26 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray) ->
     a, lum and f (half widths) broadcast to one (N, K) line table.  Each
     line with nonzero luminosity adds I * f^2 / ((x - a)^2 + f^2) with
     I = lum / f, in column order; lines with zero luminosity add nothing.
+    Rows are summed a block at a time, so the footprint is the result plus
+    one block of about _BLOCK_CELLS cells, and every cell gets the same
+    operations in the same order whatever the block size.
     """
     a, lum, f = np.broadcast_arrays(a, lum, f)
     scale = lum / f * f * f
     f2 = f * f
     y = np.zeros((a.shape[0], x.size))
-    term = np.empty_like(y)  # reused for every line: the footprint stays at two (N, len(x)) arrays
-    for k in range(a.shape[1]):
-        np.subtract(x, a[:, k, None], out=term)
-        np.square(term, out=term)
-        np.add(term, f2[:, k, None], out=term)
-        np.divide(scale[:, k, None], term, out=term)
-        term[lum[:, k] == 0.0] = 0.0  # a dark line adds exactly nothing, even where its term is 0/0
-        y += term
+    rows = max(1, _BLOCK_CELLS // max(x.size, 1))
+    buf = np.empty((min(rows, a.shape[0]), x.size))  # reused for every line of every block
+    for lo in range(0, a.shape[0], rows):
+        hi = min(lo + rows, a.shape[0])
+        term, out = buf[: hi - lo], y[lo:hi]
+        for k in range(a.shape[1]):
+            np.subtract(x, a[lo:hi, k, None], out=term)
+            np.square(term, out=term)
+            np.add(term, f2[lo:hi, k, None], out=term)
+            np.divide(scale[lo:hi, k, None], term, out=term)
+            term[lum[lo:hi, k] == 0.0] = 0.0  # a dark line adds exactly nothing, even where its term is 0/0
+            out += term
     return y
 
 

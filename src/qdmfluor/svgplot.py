@@ -44,7 +44,9 @@ def nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         return [lo, hi]
     span = hi - lo
     raw_step = span / max(target - 1, 1)
-    mag = 10.0 ** math.floor(math.log10(raw_step))
+    mag = 10.0 ** math.floor(math.log10(raw_step)) if raw_step > 0.0 else 0.0
+    if mag == 0.0:  # a subnormal span: no step resolves it
+        return [lo, hi]
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if span / step <= target - 1 + 1e-9:
@@ -54,6 +56,8 @@ def nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     value = first
     while value <= hi + step * 1e-9:
         ticks.append(0.0 if abs(value) < step * 1e-9 else value)
+        if value + step == value:  # the span is below the ulp of its ends
+            return [lo, hi]
         value += step
     return ticks
 

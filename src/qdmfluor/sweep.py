@@ -54,6 +54,8 @@ class SweepRange:
             raise ValueError("sweep bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"sweep span hi - lo overflows, got [{self.lo}, {self.hi}]")
         if not isinstance(self.steps, int) or isinstance(self.steps, bool):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
@@ -127,6 +129,11 @@ class IntensityMap:
         object.__setattr__(self, "values", v)
 
 
+def _require_workers(workers: int) -> None:
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def _require_delta_axis(rng: SweepRange) -> None:
     if rng.axis != "delta":
         raise ValueError(f"sweep axis must be 'delta', got {rng.axis!r}")
@@ -162,8 +169,10 @@ def temperature_series(
 ) -> list[SpectrumGrid]:
     """One spectrum per temperature on a shared grid, same transitions throughout.
 
-    workers is accepted and ignored: all temperatures are evaluated as one array.
+    workers (an int >= 1) is checked and otherwise ignored: all temperatures
+    are evaluated as one array.
     """
+    _require_workers(workers)
     temp_list = [float(t) for t in temps]
     if not temp_list:
         raise ValueError("temps must not be empty")
@@ -189,8 +198,10 @@ def intensity_map(
     """Spectrum rows over a splitting sweep at fixed temperature.
 
     Row r equals a standalone spectrum computed at delta_axis[r].  workers
-    is accepted and ignored: all rows are evaluated as one array.
+    (an int >= 1) is checked and otherwise ignored: all rows are evaluated
+    as one array.
     """
+    _require_workers(workers)
     _require_delta_axis(delta_range)
     deltas = delta_range.values()
     gamma = linewidth(model, temp_k)

@@ -345,6 +345,17 @@ def test_colliding_tempseries_names_exit_1(cfg_path, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
+@pytest.mark.parametrize("command", ["map", "tempseries"])
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_bad_workers_exit_2(cfg_path, tmp_path, capsys, command, workers):
+    out = tmp_path / "w.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), "--out", str(out), "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 class TestPlot:
     def test_spectrum_line_plot(self, cfg_path, tmp_path):
         csv_path = tmp_path / "spectrum.csv"
@@ -404,6 +415,15 @@ class TestPlot:
         assert main(["plot", str(csv_path), "--kind", "heatmap"]) == 1
         assert "splitting-major" in capsys.readouterr().err
         assert not (tmp_path / "map.svg").exists()
+
+    @pytest.mark.parametrize("x_col", [(1e16, 1.0000000000000002e16), (0.0, 5e-324)])
+    def test_line_plot_of_a_span_below_one_tick_step(self, tmp_path, capsys, x_col):
+        # The x span is one ulp of 1e16, or one subnormal step: no tick step resolves it.
+        csv_path = tmp_path / "spectrum.csv"
+        csv_path.write_text(f"delta_prime_ev,intensity\n{x_col[0]!r},1.0\n{x_col[1]!r},2.0\n")
+        assert main(["plot", str(csv_path), "--kind", "line"]) == 0
+        assert capsys.readouterr().err == ""
+        assert "<polyline" in (tmp_path / "spectrum.svg").read_text()
 
     def test_plot_determinism(self, cfg_path, tmp_path):
         csv_path = tmp_path / "spectrum.csv"

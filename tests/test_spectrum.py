@@ -18,6 +18,7 @@ from qdmfluor import (
     synthesize,
     transitions,
 )
+from qdmfluor import spectrum
 
 from helpers import analytic_degenerate, local_max_indices, match_peaks, measure_fwhm, strong_drive
 
@@ -195,6 +196,70 @@ class TestSynthesize:
         both = synthesize([quiet, loud], 1e-4, 1e-4, grid)
         only = synthesize([loud], 1e-4, 1e-4, grid)
         assert np.array_equal(both.intensity, only.intensity)
+
+
+def _unblocked_lorentz_sum(a, lum, f, x):
+    """The whole-array kernel: every line's term over all (N, G) cells at once."""
+    a, lum, f = np.broadcast_arrays(a, lum, f)
+    scale = lum / f * f * f
+    f2 = f * f
+    y = np.zeros((a.shape[0], x.size))
+    term = np.empty_like(y)
+    for k in range(a.shape[1]):
+        np.subtract(x, a[:, k, None], out=term)
+        np.square(term, out=term)
+        np.add(term, f2[:, k, None], out=term)
+        np.divide(scale[:, k, None], term, out=term)
+        term[lum[:, k] == 0.0] = 0.0
+        y += term
+    return y
+
+
+def _lorentz_case(n_lines, n_widths, grid, seed):
+    """Random (n_lines, 9) positions and luminosities, (n_widths, 9) widths, a few dark lines."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-0.35, 0.35, grid)
+    a = rng.uniform(-0.3, 0.3, (n_lines, 9))
+    a[:, [0, 4, 8]] = 0.0
+    lum = rng.uniform(0.0, 1.0, (n_lines, 9))
+    lum[rng.uniform(size=lum.shape) < 0.1] = 0.0
+    f = rng.uniform(2e-5, 2e-3, (n_widths, 9))
+    return a, lum, f, x
+
+
+_ROWS = spectrum._BLOCK_CELLS // 401
+
+
+@pytest.mark.parametrize(
+    "n_lines, n_widths, grid",
+    [
+        (2 * _ROWS + 7, 1, 401),  # two full blocks and a ragged third
+        (3, 1, spectrum._BLOCK_CELLS + 3),  # a row wider than a block: one row per block
+        (1, 1, 7001),
+        (1, 2 * (spectrum._BLOCK_CELLS // 7001) + 3, 7001),  # temperature_series: one line table, a width row per T
+    ],
+)
+def test_lorentz_sum_blocks_match_unblocked_kernel(n_lines, n_widths, grid):
+    a, lum, f, x = _lorentz_case(n_lines, n_widths, grid, seed=n_lines * 7 + n_widths)
+    got = spectrum.lorentz_sum(a, lum, f, x)
+    want = _unblocked_lorentz_sum(a, lum, f, x)
+    assert got.shape == want.shape == (max(n_lines, n_widths), grid)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lorentz_sum_dark_line_with_underflowing_width():
+    # Row 0 of the last block holds a dark line whose f * f underflows to 0
+    # and which sits on a grid point, so its term there is 0/0: it must add 0.
+    a, lum, f, x = _lorentz_case(_ROWS + 2, _ROWS + 2, 401, seed=5)
+    row = _ROWS
+    a[row, 3], lum[row, 3], f[row, 3] = x[200], 0.0, 1e-200
+    a[row - 1, 5], lum[row - 1, 5] = x[17], 0.0
+    with np.errstate(invalid="ignore"):
+        got = spectrum.lorentz_sum(a, lum, f, x)
+        want = _unblocked_lorentz_sum(a, lum, f, x)
+    assert f[row, 3] * f[row, 3] == 0.0
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCountPeaks:

@@ -19,6 +19,14 @@ def test_nice_ticks_cover_range_with_round_steps():
     assert any(abs(t) < 1e-12 for t in ticks)
 
 
+def test_nice_ticks_give_the_ends_when_no_step_resolves_the_span():
+    assert svgplot.nice_ticks(1e16, 1.0000000000000002e16) == [1e16, 1.0000000000000002e16]
+    assert svgplot.nice_ticks(-1e16, -1e16 + 2.0) == [-1e16, -1e16 + 2.0]
+    assert svgplot.nice_ticks(0.0, 5e-324) == [0.0, 5e-324]
+    assert svgplot.nice_ticks(-5e-324, 5e-324) == [-5e-324, 5e-324]
+    assert svgplot.nice_ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]
+
+
 def test_line_chart_structure_and_ranges():
     x = np.linspace(-0.35, 0.35, 101)
     y = 1.0 / (1.0 + (x / 0.01) ** 2)
@@ -132,8 +140,8 @@ _VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_
 def test_line_chart_points_match_per_point_reference(data):
     x = np.array(data[0])
     series = [np.array(y) for y in data[1:]]
-    # Ticks are not under test: nice_ticks does not terminate when a span is
-    # below the ulp of its ends (e.g. 1e16 .. 1e16 + 2), so the axes get none.
+    # Ticks are not under test: nice_ticks raises OverflowError on a span that
+    # overflows (-max .. max), so the axes get none.
     with np.errstate(all="ignore"), mock.patch.object(svgplot, "nice_ticks", lambda lo, hi: []):
         svg = svgplot.line_chart(x, [(f"s{k}", y) for k, y in enumerate(series)])
         expected = _reference_points(x, series)

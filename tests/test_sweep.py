@@ -186,6 +186,16 @@ class TestIntensityMap:
             assert np.array_equal(a.intensity, b.intensity)
 
 
+@pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
+def test_bad_workers_rejected(workers):
+    emitter, drive = strong_drive(delta=0.0)
+    grid = GridSpec(-0.35, 0.35, 11)
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        intensity_map(SweepRange(0.0, 0.06, 3), grid, emitter, drive, _model(), workers=workers)
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        temperature_series([5.0], emitter, drive, _model(), grid, workers=workers)
+
+
 def test_field_axis_premap():
     rng = SweepRange(lo=0.0, hi=50.0, steps=6, axis="field")
     deltas = delta_values_from_field(rng, delta_zero_field=0.05, d_nm=10.0)
