@@ -161,6 +161,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         cfg.drive(),
         cfg.broadening(),
         temp_k=cfg.temp_k,
+        workers=args.workers,
     )
     dps = _column(result.dp_axis)
     # One block per splitting row: only one row of values is formatted at a time.
@@ -192,7 +193,7 @@ def cmd_tempseries(args: argparse.Namespace) -> int:
         if path in paths:
             raise _CliError(1, f"--temps {paths[path]!r} and {temp!r} would both write {path.name}")
         paths[path] = temp
-    grids = temperature_series(temps, cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
+    grids = temperature_series(temps, cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid(), args.workers)
     # Every spectrum of the series shares one detuning grid.
     dps = _column(grids[0].delta_prime)
     _write_files({
@@ -288,7 +289,7 @@ def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
     parser.add_argument("--temp", type=float, default=None, help="temperature in K, overrides temp_k")
     parser.add_argument("--delta", type=float, default=None, help="exciton splitting in eV, overrides delta_ev")
     if workers:
-        parser.add_argument("--workers", type=_workers, default=1, help="ignored (sweeps are array-evaluated)")
+        parser.add_argument("--workers", type=_workers, default=1, help="threads for the Lorentzian kernel's row blocks (default 1); the output bytes do not depend on it")
 
 
 @functools.cache

@@ -26,7 +26,10 @@ dependent population linewidth and gamma the pure radiative rate.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,32 +260,77 @@ def line_widths(gammas: list[float], gamma_rad: float) -> np.ndarray:
     return np.array([[hwhm(kind, g, gamma_rad) for kind in _KINDS] for g in gammas])
 
 
-def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, workers: int = 1) -> np.ndarray:
     """Row r of the result is the sum over lines k of the Lorentzians on x.
 
     a, lum and f (half widths) broadcast to one (N, K) line table.  Each
     line with nonzero luminosity adds I * f^2 / ((x - a)^2 + f^2) with
     I = lum / f, in column order; lines with zero luminosity add nothing.
-    Rows are summed a block at a time, so the footprint is the result plus
-    one block of about _BLOCK_CELLS cells, and every cell gets the same
-    operations in the same order whatever the block size.
+    A line whose a and f are the same on every row has its denominator
+    computed once.  workers (an int >= 1) splits the rows into even shares
+    for at most min(workers, blocks, os.cpu_count()) threads, blocks being
+    row blocks of about _BLOCK_CELLS cells; each thread sums its share a
+    block at a time in its own scratch block.  Every cell gets the same
+    operations in the same order, so the result does not depend on the
+    block size or on workers.
     """
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     a, lum, f = np.broadcast_arrays(a, lum, f)
     scale = lum / f * f * f
     f2 = f * f
-    y = np.zeros((a.shape[0], x.size))
-    rows = max(1, _BLOCK_CELLS // max(x.size, 1))
-    buf = np.empty((min(rows, a.shape[0]), x.size))  # reused for every line of every block
-    for lo in range(0, a.shape[0], rows):
-        hi = min(lo + rows, a.shape[0])
-        term, out = buf[: hi - lo], y[lo:hi]
-        for k in range(a.shape[1]):
-            np.subtract(x, a[lo:hi, k, None], out=term)
-            np.square(term, out=term)
-            np.add(term, f2[lo:hi, k, None], out=term)
-            np.divide(scale[lo:hi, k, None], term, out=term)
-            term[lum[lo:hi, k] == 0.0] = 0.0  # a dark line adds exactly nothing, even where its term is 0/0
-            out += term
+    n_rows = a.shape[0]
+    y = np.zeros((n_rows, x.size))
+    if not y.size:
+        return y
+    shared = np.flatnonzero((a == a[:1]).all(axis=0) & (f2 == f2[:1]).all(axis=0))
+    shared_dens = np.subtract(x, a[0, shared, None])  # one row per shared line
+    np.square(shared_dens, out=shared_dens)
+    np.add(shared_dens, f2[0, shared, None], out=shared_dens)
+    dens = dict(zip(shared.tolist(), shared_dens))
+    rows = max(1, _BLOCK_CELLS // x.size)
+    n_threads = min(workers, -(-n_rows // rows), os.cpu_count() or 1)
+    shares = [n_rows * i // n_threads for i in range(n_threads + 1)]  # thread i sums rows shares[i]:shares[i + 1]
+    bufs = np.empty((n_threads, min(rows, n_rows), x.size))  # one scratch block per thread
+
+    def run(first: int, last: int, buf: np.ndarray) -> None:
+        for lo in range(first, last, rows):
+            hi = min(lo + rows, last)
+            term, out = buf[: hi - lo], y[lo:hi]
+            for k in range(a.shape[1]):
+                den = dens.get(k)
+                if den is None:
+                    np.subtract(x, a[lo:hi, k, None], out=term)
+                    np.square(term, out=term)
+                    np.add(term, f2[lo:hi, k, None], out=term)
+                    den = term
+                np.divide(scale[lo:hi, k, None], den, out=term)
+                term[lum[lo:hi, k] == 0.0] = 0.0  # a dark line adds exactly nothing, even where its term is 0/0
+                out += term
+
+    errors: list[Exception] = []
+
+    def run_in_thread(first: int, last: int, buf: np.ndarray) -> None:
+        try:
+            run(first, last, buf)
+        except Exception as exc:  # handed to the caller after the join
+            errors.append(exc)
+
+    # Shares are disjoint and numpy releases the GIL; each thread runs in a
+    # copy of the caller's context, so np.errstate carries over.
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run_in_thread, shares[i], shares[i + 1], bufs[i]))
+        for i in range(1, n_threads)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        run(shares[0], shares[1], bufs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return y
 
 

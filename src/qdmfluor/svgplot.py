@@ -43,6 +43,8 @@ def nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo, hi]
     span = hi - lo
+    if math.isinf(span):  # the span overflows: tick half the range, then double
+        return [2.0 * tick for tick in nice_ticks(lo / 2, hi / 2, target)]
     raw_step = span / max(target - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw_step)) if raw_step > 0.0 else 0.0
     if mag == 0.0:  # a subnormal span: no step resolves it
@@ -80,28 +82,38 @@ def _color(frac: float) -> str:
     return "#%02x%02x%02x" % _HEAT_STOPS[-1][1]
 
 
+def _widen(lo, hi):
+    """An axis range: an empty one widens by + 1.0, or to zero where + 1.0 rounds away."""
+    if hi <= lo:
+        hi = lo + 1.0
+        if hi == lo:  # + 1.0 rounds away once |lo| reaches about 2**53
+            lo, hi = min(lo, 0.0), max(lo, 0.0)
+    return lo, hi
+
+
+def _fraction(v, lo, hi):
+    """(v - lo) / (hi - lo), from halved terms where hi - lo overflows."""
+    if math.isinf(hi - lo):
+        v, lo, hi = v / 2, lo / 2, hi / 2
+    return (v - lo) / (hi - lo)
+
+
 class _Frame:
     """Maps data coordinates, scalars or arrays, into the plot rectangle (y grows upward)."""
 
     def __init__(self, x_lo, x_hi, y_lo, y_hi):
-        if x_hi <= x_lo:
-            x_hi = x_lo + 1.0
-        if y_hi <= y_lo:
-            y_hi = y_lo + 1.0
-        self.x_lo, self.x_hi = x_lo, x_hi
-        self.y_lo, self.y_hi = y_lo, y_hi
+        self.x_lo, self.x_hi = _widen(x_lo, x_hi)
+        self.y_lo, self.y_hi = _widen(y_lo, y_hi)
         self.px_lo = _MARGIN_L
         self.px_hi = _WIDTH - _MARGIN_R
         self.py_lo = _HEIGHT - _MARGIN_B
         self.py_hi = _MARGIN_T
 
     def x(self, v: float) -> float:
-        f = (v - self.x_lo) / (self.x_hi - self.x_lo)
-        return self.px_lo + f * (self.px_hi - self.px_lo)
+        return self.px_lo + _fraction(v, self.x_lo, self.x_hi) * (self.px_hi - self.px_lo)
 
     def y(self, v: float) -> float:
-        f = (v - self.y_lo) / (self.y_hi - self.y_lo)
-        return self.py_lo + f * (self.py_hi - self.py_lo)
+        return self.py_lo + _fraction(v, self.y_lo, self.y_hi) * (self.py_hi - self.py_lo)
 
 
 def _axes(parts: list[str], frame: _Frame, x_label: str, y_label: str, title: str) -> None:
@@ -166,11 +178,7 @@ def line_chart(
     if x.size < 2 or not series:
         raise ValueError("line chart needs at least two x samples and one series")
     y_all = np.concatenate([np.asarray(y, dtype=float) for _, y in series])
-    y_lo = float(y_all.min())
-    y_hi = float(y_all.max())
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    frame = _Frame(float(x.min()), float(x.max()), y_lo, y_hi)
+    frame = _Frame(float(x.min()), float(x.max()), float(y_all.min()), float(y_all.max()))
 
     parts: list[str] = []
     body: list[str] = []
@@ -189,7 +197,7 @@ def line_chart(
             body.append(f'<text x="{frame.px_hi - 84}" y="{ly}" font-size="11" fill="#333">{label}</text>')
     _axes(parts, frame, x_label, y_label, title)
     parts.extend(body)
-    return _svg(parts, (frame.x_lo, frame.x_hi), (y_lo, y_hi))
+    return _svg(parts, (frame.x_lo, frame.x_hi), (frame.y_lo, frame.y_hi))
 
 
 def _pool_max(values: np.ndarray, max_rows: int, max_cols: int) -> np.ndarray:

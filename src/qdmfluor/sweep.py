@@ -4,9 +4,10 @@ series, and the 2-d intensity map over (exciton splitting, detuning).
 A sweep is evaluated as arrays in one pass: one stacked eigensolve over all
 splittings (:func:`core.dressed_states`), one (N, 9) line table
 (:func:`spectrum.line_table`) and one broadcast Lorentzian sum
-(:func:`spectrum.lorentz_sum`).  Row r of every result equals the
-standalone per-triplet computation at that row's splitting or temperature,
-to the last bit.
+(:func:`spectrum.lorentz_sum`), whose row blocks ``workers`` splits over
+threads.  Row r of every result equals the standalone per-triplet
+computation at that row's splitting or temperature, to the last bit,
+whatever ``workers`` is.
 """
 
 from __future__ import annotations
@@ -129,11 +130,6 @@ class IntensityMap:
         object.__setattr__(self, "values", v)
 
 
-def _require_workers(workers: int) -> None:
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-
-
 def _require_delta_axis(rng: SweepRange) -> None:
     if rng.axis != "delta":
         raise ValueError(f"sweep axis must be 'delta', got {rng.axis!r}")
@@ -169,17 +165,17 @@ def temperature_series(
 ) -> list[SpectrumGrid]:
     """One spectrum per temperature on a shared grid, same transitions throughout.
 
-    workers (an int >= 1) is checked and otherwise ignored: all temperatures
-    are evaluated as one array.
+    All temperatures are evaluated as one array.  workers (an int >= 1)
+    splits the Lorentzian kernel's row blocks over threads; the result does
+    not depend on it.
     """
-    _require_workers(workers)
     temp_list = [float(t) for t in temps]
     if not temp_list:
         raise ValueError("temps must not be empty")
     a, lum = line_table(*dressed_states(emitter, drive, [emitter.delta]), emitter.mu)
     gammas = [linewidth(model, temp_k) for temp_k in temp_list]
     x = grid.values()
-    rows = lorentz_sum(a, lum, line_widths(gammas, model.gamma_rad), x)
+    rows = lorentz_sum(a, lum, line_widths(gammas, model.gamma_rad), x, workers)
     return [
         SpectrumGrid(x, row, {"temp_k": t, "delta_ev": emitter.delta, "gamma_pop_ev": g, "gamma_rad_ev": model.gamma_rad})
         for t, g, row in zip(temp_list, gammas, rows)
@@ -197,17 +193,16 @@ def intensity_map(
 ) -> IntensityMap:
     """Spectrum rows over a splitting sweep at fixed temperature.
 
-    Row r equals a standalone spectrum computed at delta_axis[r].  workers
-    (an int >= 1) is checked and otherwise ignored: all rows are evaluated
-    as one array.
+    Row r equals a standalone spectrum computed at delta_axis[r].  All rows
+    are evaluated as one array.  workers (an int >= 1) splits the Lorentzian
+    kernel's row blocks over threads; the result does not depend on it.
     """
-    _require_workers(workers)
     _require_delta_axis(delta_range)
     deltas = delta_range.values()
     gamma = linewidth(model, temp_k)
     a, lum = line_table(*dressed_states(emitter, drive, deltas), emitter.mu)
     dp = grid.values()
-    values = lorentz_sum(a, lum, line_widths([gamma], model.gamma_rad), dp)
+    values = lorentz_sum(a, lum, line_widths([gamma], model.gamma_rad), dp, workers)
     meta = {
         "temp_k": temp_k,
         "gamma_pop_ev": gamma,

@@ -8,6 +8,8 @@ half-maximum crossing measurements on sampled curves.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -134,3 +136,21 @@ def match_peaks(grids, rel_floor: float = 1e-3, tol: float = 2e-3):
         if ok:
             matched.append(row)
     return matched
+
+
+def count_thread_starts(monkeypatch, cpus: int = 8) -> list:
+    """Record every threading.Thread started from here on, on a host of `cpus` CPUs.
+
+    Fixing os.cpu_count makes the kernel's thread bound the same on every
+    machine, so a test sees the threads it asks for.
+    """
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return started

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from qdmfluor import (
 )
 from qdmfluor import cli
 from qdmfluor.cli import main
+
+from helpers import count_thread_starts
 
 MINIMAL = """\
 e_xd_ev = 1.0
@@ -264,6 +268,19 @@ def test_determinism_across_runs_and_workers(cfg_path, tmp_path):
     assert again.read_bytes() == files["w1"]
 
 
+def test_map_workers_reach_the_kernel(tmp_path, monkeypatch):
+    # 241 rows of 701 points are three kernel blocks, so --workers 2 starts a thread.
+    started = count_thread_starts(monkeypatch)
+    cfg = tmp_path / "three_blocks.cfg"
+    cfg.write_text(MINIMAL + "npoints = 701\nsweep_steps = 241\n")
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"map_w{workers}.csv"
+        assert main(["map", "--config", str(cfg), "--out", str(outs[workers]), "--workers", workers]) == 0
+    assert len(started) == 1
+    assert outs["1"].read_bytes() == outs["2"].read_bytes()
+
+
 def test_config_error_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(MINIMAL + "t_ev = 0.2\n")  # duplicate key
@@ -424,6 +441,28 @@ class TestPlot:
         assert main(["plot", str(csv_path), "--kind", "line"]) == 0
         assert capsys.readouterr().err == ""
         assert "<polyline" in (tmp_path / "spectrum.svg").read_text()
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(st.tuples(_FLOATS, _FLOATS), max_size=8))
+    @example(rows=[(0.0, 1e17), (1.0, 1e17)])  # a constant column that + 1.0 cannot widen
+    @example(rows=[(-1e308, 0.0), (1e308, 1.0)])  # an x span that overflows
+    @example(rows=[(0.0, -1.7976931348623157e308), (1.0, 1.7976931348623157e308)])
+    def test_line_plot_of_any_finite_csv_exits_cleanly(self, tmp_path_factory, rows):
+        # Exit 0, or exit 1 with a qdmfluor: message; never a traceback or a warning.
+        csv_path = tmp_path_factory.mktemp("plot") / "spectrum.csv"
+        csv_path.write_text("delta_prime_ev,intensity\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["plot", str(csv_path), "--kind", "line"])
+        svg = csv_path.with_suffix(".svg")
+        if code == 0:
+            assert err.getvalue() == ""
+            text = svg.read_text()
+            assert "nan" not in text and "inf" not in text
+        else:
+            assert code == 1 and err.getvalue().startswith("qdmfluor: ")
+            assert not svg.exists()
 
     def test_plot_determinism(self, cfg_path, tmp_path):
         csv_path = tmp_path / "spectrum.csv"

@@ -1,4 +1,6 @@
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from qdmfluor import (
 )
 from qdmfluor import spectrum
 
-from helpers import analytic_degenerate, local_max_indices, match_peaks, measure_fwhm, strong_drive
+from helpers import analytic_degenerate, count_thread_starts, local_max_indices, match_peaks, measure_fwhm, strong_drive
 
 SQRT_002 = math.sqrt(0.02)
 
@@ -227,6 +229,27 @@ def _lorentz_case(n_lines, n_widths, grid, seed):
     return a, lum, f, x
 
 
+def _with_row_constant_columns(a, lum, f, x, seed):
+    """The case broadcast to full rows, plus four columns that test the shared-denominator path.
+
+    9: one a on every row, a different width on each row (the temperature_series shape);
+    10: one a and one width on every row;
+    11: one a (on a grid point) and one width whose square underflows, dark on every row;
+    12: a that mixes 0.0 and -0.0 across rows, with one width.
+    """
+    rng = np.random.default_rng(seed)
+    a, lum, f = (np.array(v) for v in np.broadcast_arrays(a, lum, f))
+    n = a.shape[0]
+    extra_a = np.column_stack([
+        np.full(n, 0.123), np.full(n, -0.2), np.full(n, x[x.size // 3]), np.where(np.arange(n) % 2, -0.0, 0.0),
+    ])
+    extra_lum = rng.uniform(0.0, 1.0, (n, 4))
+    extra_lum[:, 2] = 0.0
+    extra_lum[rng.uniform(size=n) < 0.1, 1] = 0.0
+    extra_f = np.column_stack([rng.uniform(2e-5, 2e-3, n), np.full(n, 7e-4), np.full(n, 1e-200), np.full(n, 3e-4)])
+    return (np.hstack([a, extra_a]), np.hstack([lum, extra_lum]), np.hstack([f, extra_f]))
+
+
 _ROWS = spectrum._BLOCK_CELLS // 401
 
 
@@ -239,12 +262,49 @@ _ROWS = spectrum._BLOCK_CELLS // 401
         (1, 2 * (spectrum._BLOCK_CELLS // 7001) + 3, 7001),  # temperature_series: one line table, a width row per T
     ],
 )
-def test_lorentz_sum_blocks_match_unblocked_kernel(n_lines, n_widths, grid):
+def test_lorentz_sum_blocks_match_unblocked_kernel(monkeypatch, n_lines, n_widths, grid):
+    count_thread_starts(monkeypatch)
     a, lum, f, x = _lorentz_case(n_lines, n_widths, grid, seed=n_lines * 7 + n_widths)
-    got = spectrum.lorentz_sum(a, lum, f, x)
     want = _unblocked_lorentz_sum(a, lum, f, x)
-    assert got.shape == want.shape == (max(n_lines, n_widths), grid)
-    assert got.tobytes() == want.tobytes()
+    assert want.shape == (max(n_lines, n_widths), grid)
+    # The dark column's 0/0 must not warn in any thread: np.errstate reaches them all.
+    wide = _with_row_constant_columns(a, lum, f, x, seed=n_lines + n_widths)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
+        want_wide = _unblocked_lorentz_sum(*wide, x)
+        for workers in (1, 2, 3):
+            assert spectrum.lorentz_sum(a, lum, f, x, workers).tobytes() == want.tobytes()
+            got_wide = spectrum.lorentz_sum(*wide, x, workers)
+            assert np.isfinite(got_wide).all()
+            assert got_wide.tobytes() == want_wide.tobytes()
+
+
+def test_lorentz_sum_thread_count_is_bounded(monkeypatch):
+    started = count_thread_starts(monkeypatch)
+    a, lum, f, x = _lorentz_case(_ROWS, 1, 401, seed=3)  # exactly one block
+    one_block = spectrum.lorentz_sum(a, lum, f, x, workers=10**6)
+    assert started == []
+    assert one_block.tobytes() == _unblocked_lorentz_sum(a, lum, f, x).tobytes()
+
+    a, lum, f, x = _lorentz_case(2 * _ROWS + 7, 1, 401, seed=4)  # three blocks
+    three_blocks = spectrum.lorentz_sum(a, lum, f, x, workers=10**6)
+    assert 1 <= len(started) <= 3
+    assert not any(thread.is_alive() for thread in started)
+    assert three_blocks.tobytes() == _unblocked_lorentz_sum(a, lum, f, x).tobytes()
+
+    started.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count: the caller's thread only
+    spectrum.lorentz_sum(a, lum, f, x, workers=4)
+    assert started == []
+
+
+def test_lorentz_sum_raises_what_a_thread_raises(monkeypatch):
+    count_thread_starts(monkeypatch)
+    a, lum, f, x = _lorentz_case(2 * _ROWS + 7, 1, 401, seed=6)
+    # A dark 0/0 in the last row, which the second thread sums (the caller takes the first half).
+    a[-1, 2], lum[-1, 2], f[0, 2] = x[9], 0.0, 1e-200
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        spectrum.lorentz_sum(a, lum, f, x, workers=2)
 
 
 def test_lorentz_sum_dark_line_with_underflowing_width():

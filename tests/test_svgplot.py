@@ -1,5 +1,5 @@
+import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +25,14 @@ def test_nice_ticks_give_the_ends_when_no_step_resolves_the_span():
     assert svgplot.nice_ticks(0.0, 5e-324) == [0.0, 5e-324]
     assert svgplot.nice_ticks(-5e-324, 5e-324) == [-5e-324, 5e-324]
     assert svgplot.nice_ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]
+
+
+
+def test_nice_ticks_of_an_overflowing_span_are_finite_and_in_range():
+    for lo, hi in ((-1e308, 1e308), (-1.7976931348623157e308, 1.7976931348623157e308), (-1e308, 8e307)):
+        ticks = svgplot.nice_ticks(lo, hi)
+        assert len(ticks) >= 2 and 0.0 in ticks
+        assert all(lo <= t <= hi for t in ticks)
 
 
 def test_line_chart_structure_and_ranges():
@@ -101,25 +109,34 @@ def _reference_points(x, series):
     """Polyline points as line_chart built them one point at a time.
 
     The frame arithmetic of _Frame.x / _Frame.y and the _fmt format, applied
-    to each (x, y) pair of numpy scalars in turn.
+    to each (x, y) pair of numpy scalars in turn.  An empty range widens by
+    + 1.0, or to zero where + 1.0 rounds away; a range whose span overflows
+    maps halved values.
     """
-    x_lo, x_hi = float(x.min()), float(x.max())
+
+    def widen(lo, hi):
+        if hi <= lo:
+            hi = lo + 1.0
+            if hi == lo:
+                lo, hi = min(lo, 0.0), max(lo, 0.0)
+        return lo, hi
+
+    x_lo, x_hi = widen(float(x.min()), float(x.max()))
     y_all = np.concatenate(series)
-    y_lo, y_hi = float(y_all.min()), float(y_all.max())
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
+    y_lo, y_hi = widen(float(y_all.min()), float(y_all.max()))
     px_lo, px_hi = 78, 720 - 24
     py_lo, py_hi = 480 - 56, 40
 
+    def fraction(v, lo, hi):
+        if math.isinf(hi - lo):
+            return (v / 2 - lo / 2) / (hi / 2 - lo / 2)
+        return (v - lo) / (hi - lo)
+
     def px(v):
-        f = (v - x_lo) / (x_hi - x_lo)
-        return px_lo + f * (px_hi - px_lo)
+        return px_lo + fraction(v, x_lo, x_hi) * (px_hi - px_lo)
 
     def py(v):
-        f = (v - y_lo) / (y_hi - y_lo)
-        return py_lo + f * (py_hi - py_lo)
+        return py_lo + fraction(v, y_lo, y_hi) * (py_hi - py_lo)
 
     return [" ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y)) for y in series]
 
@@ -137,12 +154,12 @@ _VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_
 )
 @example(data=[[-0.0, 5e-324, 1e-4, 1e16], [1e-5, 9.999999999999999e-05, -0.0, 1.7976931348623157e308]])
 @example(data=[[-1.7976931348623157e308, 1.7976931348623157e308], [2.2250738585072014e-308, -5e-324]])
+@example(data=[[0.0, 1.0], [1e17, 1e17]])  # a constant that + 1.0 cannot widen
+@example(data=[[-1e308, 1e308], [-1e17, -1e17]])
 def test_line_chart_points_match_per_point_reference(data):
     x = np.array(data[0])
     series = [np.array(y) for y in data[1:]]
-    # Ticks are not under test: nice_ticks raises OverflowError on a span that
-    # overflows (-max .. max), so the axes get none.
-    with np.errstate(all="ignore"), mock.patch.object(svgplot, "nice_ticks", lambda lo, hi: []):
-        svg = svgplot.line_chart(x, [(f"s{k}", y) for k, y in enumerate(series)])
-        expected = _reference_points(x, series)
+    svg = svgplot.line_chart(x, [(f"s{k}", y) for k, y in enumerate(series)])
+    expected = _reference_points(x, series)
     assert re.findall(r'<polyline points="([^"]*)"', svg) == expected
+    assert "nan" not in svg and "inf" not in svg

@@ -15,9 +15,9 @@ from qdmfluor import (
     temperature_series,
     transition_branches,
 )
-from qdmfluor import DriveParams, EmitterParams
+from qdmfluor import DriveParams, EmitterParams, spectrum
 
-from helpers import strong_drive
+from helpers import count_thread_starts, strong_drive
 
 SQRT_002 = math.sqrt(0.02)
 
@@ -159,13 +159,18 @@ class TestIntensityMap:
         doubled = intensity_map(rng, grid, doubled_emitter, drive, _model())
         assert np.allclose(doubled.values, 4.0 * base.values, rtol=1e-12, atol=0.0)
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, monkeypatch):
+        started = count_thread_starts(monkeypatch)
         emitter, drive = strong_drive(delta=0.0)
         grid = GridSpec(-0.35, 0.35, 401)
-        rng = SweepRange(lo=0.0, hi=0.06, steps=13)
+        rows = spectrum._BLOCK_CELLS // 401
+        rng = SweepRange(lo=0.0, hi=0.06, steps=3 * rows + 11)  # three full kernel blocks and a ragged fourth
         serial = intensity_map(rng, grid, emitter, drive, _model(), workers=1)
-        threaded = intensity_map(rng, grid, emitter, drive, _model(), workers=4)
-        assert np.array_equal(serial.values, threaded.values)
+        assert started == []
+        for workers in (2, 4):
+            threaded = intensity_map(rng, grid, emitter, drive, _model(), workers=workers)
+            assert threaded.values.tobytes() == serial.values.tobytes()
+        assert len(started) == 1 + 3  # one extra thread at workers=2, three at workers=4
 
     def test_default_map_regimes_at_small_splitting(self):
         emitter, drive = strong_drive(delta=0.0)
@@ -177,13 +182,17 @@ class TestIntensityMap:
         for r in near_001:
             assert len(resolvable_maxima(result.values[r])) == 7
 
-    def test_temperature_series_workers_identical(self):
+    def test_temperature_series_workers_identical(self, monkeypatch):
+        started = count_thread_starts(monkeypatch)
         emitter, drive = strong_drive(delta=0.008)
-        grid = GridSpec(-0.35, 0.35, 501)
-        serial = temperature_series([5.0, 20.0, 40.0], emitter, drive, _model(), grid, workers=1)
-        threaded = temperature_series([5.0, 20.0, 40.0], emitter, drive, _model(), grid, workers=3)
+        grid = GridSpec(-0.35, 0.35, 6001)
+        rows = spectrum._BLOCK_CELLS // 6001
+        temps = np.linspace(5.0, 40.0, 2 * rows + 5).tolist()  # two full kernel blocks and a ragged third
+        serial = temperature_series(temps, emitter, drive, _model(), grid, workers=1)
+        threaded = temperature_series(temps, emitter, drive, _model(), grid, workers=3)
+        assert len(started) == 2
         for a, b in zip(serial, threaded):
-            assert np.array_equal(a.intensity, b.intensity)
+            assert a.intensity.tobytes() == b.intensity.tobytes()
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
