@@ -289,7 +289,7 @@ def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
     parser.add_argument("--temp", type=float, default=None, help="temperature in K, overrides temp_k")
     parser.add_argument("--delta", type=float, default=None, help="exciton splitting in eV, overrides delta_ev")
     if workers:
-        parser.add_argument("--workers", type=_workers, default=1, help="threads for the Lorentzian kernel's row blocks (default 1); the output bytes do not depend on it")
+        parser.add_argument("--workers", type=_workers, default=None, help="most threads for the Lorentzian kernel's row blocks (default: one per CPU); the output bytes do not depend on it")
 
 
 @functools.cache

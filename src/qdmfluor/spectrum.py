@@ -260,22 +260,24 @@ def line_widths(gammas: list[float], gamma_rad: float) -> np.ndarray:
     return np.array([[hwhm(kind, g, gamma_rad) for kind in _KINDS] for g in gammas])
 
 
-def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, workers: int = 1) -> np.ndarray:
+def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, workers: int | None = None) -> np.ndarray:
     """Row r of the result is the sum over lines k of the Lorentzians on x.
 
     a, lum and f (half widths) broadcast to one (N, K) line table.  Each
     line with nonzero luminosity adds I * f^2 / ((x - a)^2 + f^2) with
     I = lum / f, in column order; lines with zero luminosity add nothing.
-    A line whose a and f are the same on every row has its denominator
-    computed once.  workers (an int >= 1) splits the rows into even shares
-    for at most min(workers, blocks, os.cpu_count()) threads, blocks being
-    row blocks of about _BLOCK_CELLS cells; each thread sums its share a
-    block at a time in its own scratch block.  Every cell gets the same
+    Rows are summed a block of about _BLOCK_CELLS cells at a time.  When a
+    block holds several rows, a line whose a and f are the same on every
+    row has its denominator computed once per call.  The rows split into
+    even shares for min(blocks, os.cpu_count()) threads, at most workers
+    (an int >= 1; None sets no cap) of them, each summing its share in its
+    own scratch block.  The footprint is the result, one block per thread
+    and at most half a block per shared line.  Every cell gets the same
     operations in the same order, so the result does not depend on the
     block size or on workers.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
+        raise ValueError(f"workers must be an integer >= 1 or None, got {workers!r}")
     a, lum, f = np.broadcast_arrays(a, lum, f)
     scale = lum / f * f * f
     f2 = f * f
@@ -283,13 +285,15 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
     y = np.zeros((n_rows, x.size))
     if not y.size:
         return y
-    shared = np.flatnonzero((a == a[:1]).all(axis=0) & (f2 == f2[:1]).all(axis=0))
-    shared_dens = np.subtract(x, a[0, shared, None])  # one row per shared line
-    np.square(shared_dens, out=shared_dens)
-    np.add(shared_dens, f2[0, shared, None], out=shared_dens)
-    dens = dict(zip(shared.tolist(), shared_dens))
     rows = max(1, _BLOCK_CELLS // x.size)
-    n_threads = min(workers, -(-n_rows // rows), os.cpu_count() or 1)
+    dens = {}
+    if n_rows > 1 and rows > 1:  # blocks of several rows, so each row of a shared line is at most half a block
+        shared = np.flatnonzero((a == a[:1]).all(axis=0) & (f2 == f2[:1]).all(axis=0))
+        shared_dens = np.subtract(x, a[0, shared, None])  # one row per shared line
+        np.square(shared_dens, out=shared_dens)
+        np.add(shared_dens, f2[0, shared, None], out=shared_dens)
+        dens = dict(zip(shared.tolist(), shared_dens))
+    n_threads = min(-(-n_rows // rows), os.cpu_count() or 1, workers or n_rows)
     shares = [n_rows * i // n_threads for i in range(n_threads + 1)]  # thread i sums rows shares[i]:shares[i + 1]
     bufs = np.empty((n_threads, min(rows, n_rows), x.size))  # one scratch block per thread
 

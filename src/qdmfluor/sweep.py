@@ -4,10 +4,10 @@ series, and the 2-d intensity map over (exciton splitting, detuning).
 A sweep is evaluated as arrays in one pass: one stacked eigensolve over all
 splittings (:func:`core.dressed_states`), one (N, 9) line table
 (:func:`spectrum.line_table`) and one broadcast Lorentzian sum
-(:func:`spectrum.lorentz_sum`), whose row blocks ``workers`` splits over
-threads.  Row r of every result equals the standalone per-triplet
-computation at that row's splitting or temperature, to the last bit,
-whatever ``workers`` is.
+(:func:`spectrum.lorentz_sum`), whose row blocks run on up to one thread
+per CPU, ``workers`` capping the count.  Row r of every result equals the
+standalone per-triplet computation at that row's splitting or temperature,
+to the last bit, whatever ``workers`` is.
 """
 
 from __future__ import annotations
@@ -161,13 +161,13 @@ def temperature_series(
     drive: DriveParams,
     model: BroadeningModel,
     grid: GridSpec,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> list[SpectrumGrid]:
     """One spectrum per temperature on a shared grid, same transitions throughout.
 
-    All temperatures are evaluated as one array.  workers (an int >= 1)
-    splits the Lorentzian kernel's row blocks over threads; the result does
-    not depend on it.
+    All temperatures are evaluated as one array.  workers (an int >= 1, or
+    None for no cap) caps the threads that sum the Lorentzian kernel's row
+    blocks; the result does not depend on it.
     """
     temp_list = [float(t) for t in temps]
     if not temp_list:
@@ -189,13 +189,14 @@ def intensity_map(
     drive: DriveParams,
     model: BroadeningModel,
     temp_k: float = 0.0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> IntensityMap:
     """Spectrum rows over a splitting sweep at fixed temperature.
 
     Row r equals a standalone spectrum computed at delta_axis[r].  All rows
-    are evaluated as one array.  workers (an int >= 1) splits the Lorentzian
-    kernel's row blocks over threads; the result does not depend on it.
+    are evaluated as one array.  workers (an int >= 1, or None for no cap)
+    caps the threads that sum the Lorentzian kernel's row blocks; the result
+    does not depend on it.
     """
     _require_delta_axis(delta_range)
     deltas = delta_range.values()

@@ -269,16 +269,17 @@ def test_determinism_across_runs_and_workers(cfg_path, tmp_path):
 
 
 def test_map_workers_reach_the_kernel(tmp_path, monkeypatch):
-    # 241 rows of 701 points are three kernel blocks, so --workers 2 starts a thread.
+    # 241 rows of 701 points are three kernel blocks: --workers 2 starts one
+    # thread, and no --workers (a thread per block) starts two.
     started = count_thread_starts(monkeypatch)
     cfg = tmp_path / "three_blocks.cfg"
     cfg.write_text(MINIMAL + "npoints = 701\nsweep_steps = 241\n")
     outs = {}
-    for workers in ("1", "2"):
+    for workers, extra in (("1", ["--workers", "1"]), ("2", ["--workers", "2"]), ("default", [])):
         outs[workers] = tmp_path / f"map_w{workers}.csv"
-        assert main(["map", "--config", str(cfg), "--out", str(outs[workers]), "--workers", workers]) == 0
-    assert len(started) == 1
-    assert outs["1"].read_bytes() == outs["2"].read_bytes()
+        assert main(["map", "--config", str(cfg), "--out", str(outs[workers]), *extra]) == 0
+    assert len(started) == 1 + 2
+    assert outs["1"].read_bytes() == outs["2"].read_bytes() == outs["default"].read_bytes()
 
 
 def test_config_error_exit_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,7 +231,7 @@ def _lorentz_case(n_lines, n_widths, grid, seed):
 
 
 def _with_row_constant_columns(a, lum, f, x, seed):
-    """The case broadcast to full rows, plus four columns that test the shared-denominator path.
+    """The case broadcast to full rows, plus four columns that are the same, or nearly, on every row.
 
     9: one a on every row, a different width on each row (the temperature_series shape);
     10: one a and one width on every row;
@@ -266,15 +267,17 @@ def test_lorentz_sum_blocks_match_unblocked_kernel(monkeypatch, n_lines, n_width
     count_thread_starts(monkeypatch)
     a, lum, f, x = _lorentz_case(n_lines, n_widths, grid, seed=n_lines * 7 + n_widths)
     want = _unblocked_lorentz_sum(a, lum, f, x)
-    assert want.shape == (max(n_lines, n_widths), grid)
     # The dark column's 0/0 must not warn in any thread: np.errstate reaches them all.
     wide = _with_row_constant_columns(a, lum, f, x, seed=n_lines + n_widths)
     with warnings.catch_warnings(), np.errstate(invalid="ignore"):
         warnings.simplefilter("error")
         want_wide = _unblocked_lorentz_sum(*wide, x)
-        for workers in (1, 2, 3):
-            assert spectrum.lorentz_sum(a, lum, f, x, workers).tobytes() == want.tobytes()
+        for workers in (1, 2, 3, None):
+            got = spectrum.lorentz_sum(a, lum, f, x, workers)
+            assert got.shape == want.shape == (max(n_lines, n_widths), grid)
+            assert got.tobytes() == want.tobytes()
             got_wide = spectrum.lorentz_sum(*wide, x, workers)
+            assert got_wide.shape == want_wide.shape
             assert np.isfinite(got_wide).all()
             assert got_wide.tobytes() == want_wide.tobytes()
 
@@ -293,9 +296,32 @@ def test_lorentz_sum_thread_count_is_bounded(monkeypatch):
     assert three_blocks.tobytes() == _unblocked_lorentz_sum(a, lum, f, x).tobytes()
 
     started.clear()
+    spectrum.lorentz_sum(a, lum, f, x)  # no cap: a thread per block, the caller's among them
+    assert len(started) == 2
+
+    started.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count: the caller's thread only
     spectrum.lorentz_sum(a, lum, f, x, workers=4)
     assert started == []
+
+
+@pytest.mark.parametrize(
+    "n_rows, grid",
+    [
+        (1, 1 << 18),  # synthesize's one-row table: every line is row-constant, and nothing is shared
+        (3, spectrum._BLOCK_CELLS + 3),  # rows wider than a block, all lines row-constant
+    ],
+)
+def test_lorentz_sum_footprint_is_the_result_and_one_block(n_rows, grid):
+    a, lum, f, x = _lorentz_case(1, 1, grid, seed=n_rows)
+    a = np.repeat(a, n_rows, axis=0)
+    tracemalloc.start()
+    try:
+        y = spectrum.lorentz_sum(a, lum, f, x, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= y.nbytes + x.nbytes + (64 << 10)  # the result, one one-row block, small arrays
 
 
 def test_lorentz_sum_raises_what_a_thread_raises(monkeypatch):
