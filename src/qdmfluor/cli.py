@@ -283,11 +283,13 @@ def _workers(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, temp: bool = False, delta: bool = False, workers: bool = False) -> None:
     parser.add_argument("--config", required=True, help="path to the run configuration file")
     parser.add_argument("--out", help="output file path")
-    parser.add_argument("--temp", type=float, default=None, help="temperature in K, overrides temp_k")
-    parser.add_argument("--delta", type=float, default=None, help="exciton splitting in eV, overrides delta_ev")
+    if temp:
+        parser.add_argument("--temp", type=float, help="temperature in K, overrides temp_k")
+    if delta:
+        parser.add_argument("--delta", type=float, help="exciton splitting in eV, overrides delta_ev")
     if workers:
         parser.add_argument("--workers", type=_workers, default=None, help="most threads for the Lorentzian kernel's row blocks (default: one per CPU); the output bytes do not depend on it")
 
@@ -299,29 +301,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Resonance-fluorescence spectra of a driven double-quantum-dot molecule.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviated flags: `tempseries --temp` must not pass for `--temps`.
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("spectrum", help="sampled emission spectrum S(delta_prime)")
-    _add_common(p)
+    p = add("spectrum", help="sampled emission spectrum S(delta_prime)")
+    _add_common(p, temp=True, delta=True)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("transitions", help="the nine dressed-state transitions")
-    _add_common(p)
+    p = add("transitions", help="the nine dressed-state transitions")
+    _add_common(p, temp=True, delta=True)
     p.set_defaults(func=cmd_transitions)
 
-    p = sub.add_parser("branches", help="transition energies swept over the splitting")
+    p = add("branches", help="transition energies swept over the splitting")
     _add_common(p)
     p.set_defaults(func=cmd_branches)
 
-    p = sub.add_parser("map", help="intensity map over (splitting, detuning)")
-    _add_common(p, workers=True)
+    p = add("map", help="intensity map over (splitting, detuning)")
+    _add_common(p, temp=True, workers=True)
     p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("tempseries", help="one spectrum per temperature")
-    _add_common(p, workers=True)
+    p = add("tempseries", help="one spectrum per temperature")
+    _add_common(p, delta=True, workers=True)
     p.add_argument("--temps", default="5,20,40", help="comma-separated temperatures in K")
     p.set_defaults(func=cmd_tempseries)
 
-    p = sub.add_parser("plot", help="render a CSV table as an SVG chart")
+    p = add("plot", help="render a CSV table as an SVG chart")
     p.add_argument("input", help="CSV file produced by another subcommand")
     p.add_argument("--kind", choices=("line", "heatmap"), required=True)
     p.add_argument("--out", help="output SVG path (default: input with .svg)")

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DriveParams, EmitterParams, delta_from_field, dressed_states
+from .core import DriveParams, EmitterParams, dressed_states
 from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, linewidth, lorentz_sum
 
 # perfbench/layers.py wraps these per-triplet names in this namespace; the sweeps do not call them.
@@ -26,7 +26,6 @@ from .core import diagonalize, reduced_hamiltonian  # noqa: F401
 from .spectrum import synthesize, transitions  # noqa: F401
 
 __all__ = [
-    "AXES",
     "SweepRange",
     "EnergyCurves",
     "TransitionBranches",
@@ -35,20 +34,15 @@ __all__ = [
     "transition_branches",
     "temperature_series",
     "intensity_map",
-    "delta_values_from_field",
 ]
-
-AXES = ("delta", "field")
-
 
 @dataclass(frozen=True)
 class SweepRange:
-    """Uniform sweep over one axis: steps values from lo to hi inclusive."""
+    """Uniform sweep: steps values from lo to hi inclusive."""
 
     lo: float
     hi: float
     steps: int
-    axis: str = "delta"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -61,8 +55,6 @@ class SweepRange:
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps)
@@ -130,14 +122,8 @@ class IntensityMap:
         object.__setattr__(self, "values", v)
 
 
-def _require_delta_axis(rng: SweepRange) -> None:
-    if rng.axis != "delta":
-        raise ValueError(f"sweep axis must be 'delta', got {rng.axis!r}")
-
-
 def dressed_energy_curves(rng: SweepRange, emitter: EmitterParams, drive: DriveParams) -> EnergyCurves:
     """Dressed energies E1 <= E2 <= E3 at each splitting value."""
-    _require_delta_axis(rng)
     deltas = rng.values()
     energies, _ = dressed_states(emitter, drive, deltas)
     return EnergyCurves(delta=deltas, energies=energies)
@@ -149,7 +135,6 @@ def transition_branches(rng: SweepRange, emitter: EmitterParams, drive: DrivePar
     Branches are labeled by fixed (i, j) after ascending-energy sorting, so
     at an exact level crossing a pair of labels can swap between rows.
     """
-    _require_delta_axis(rng)
     deltas = rng.values()
     a, _ = line_table(*dressed_states(emitter, drive, deltas), emitter.mu)
     return TransitionBranches(delta=deltas, a=a)
@@ -198,7 +183,6 @@ def intensity_map(
     caps the threads that sum the Lorentzian kernel's row blocks; the result
     does not depend on it.
     """
-    _require_delta_axis(delta_range)
     deltas = delta_range.values()
     gamma = linewidth(model, temp_k)
     a, lum = line_table(*dressed_states(emitter, drive, deltas), emitter.mu)
@@ -213,18 +197,3 @@ def intensity_map(
         "mu": emitter.mu,
     }
     return IntensityMap(delta_axis=deltas, dp_axis=dp, values=values, meta=meta)
-
-
-def delta_values_from_field(
-    rng: SweepRange,
-    delta_zero_field: float,
-    d_nm: float,
-) -> np.ndarray:
-    """Map a field-axis sweep (kV/cm) to the splitting values it produces.
-
-    Field sweeps carry no physics of their own; this pre-map feeds the
-    resulting splittings into the delta-axis machinery.
-    """
-    if rng.axis != "field":
-        raise ValueError(f"sweep axis must be 'field', got {rng.axis!r}")
-    return np.array([delta_from_field(delta_zero_field, d_nm, float(f)) for f in rng.values()])

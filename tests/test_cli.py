@@ -292,6 +292,34 @@ def test_config_error_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "transitions", "branches", "map", "tempseries"])
+@pytest.mark.parametrize("coupling", ["g_ev = 0.01\nn = 1" + "0" * 400, "g_ev = 1e308\nn = 4"])
+def test_overflowing_coupling_exit_1(tmp_path, capsys, command, coupling):
+    cfg = tmp_path / "huge_n.cfg"
+    cfg.write_text(f"e_xd_ev = 1.0\nhw_l_ev = 1.0\nt_ev = 0.1\n{coupling}\n")
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "line 5: g_ev * sqrt(n) overflows (g_ev on line 4)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("tempseries", "--temp"),
+    ("map", "--delta"),
+    ("branches", "--temp"),
+    ("branches", "--delta"),
+])
+def test_flag_the_command_does_not_read_exit_2(cfg_path, tmp_path, capsys, command, flag):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), "--out", str(out), flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_missing_config_exit_2(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err

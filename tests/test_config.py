@@ -1,9 +1,16 @@
 import math
+import sys
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qdmfluor import ConfigError, parse_config
-from qdmfluor.config import MAX_CELLS
+from qdmfluor import ConfigError, RunConfig, parse_config
+from qdmfluor.config import DEFAULTS, MAX_CELLS, REQUIRED_KEYS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """\
 e_xd_ev = 1.0
@@ -158,7 +165,7 @@ def test_builders_produce_valid_objects():
     grid = cfg.grid()
     assert grid.npoints == 7001 and grid.step == pytest.approx(1e-4, rel=1e-12)
     rng = cfg.delta_range()
-    assert rng.steps == 241 and rng.axis == "delta"
+    assert rng.steps == 241
     assert math.isclose(rng.values()[1] - rng.values()[0], 0.06 / 240, rel_tol=1e-12)
 
 
@@ -185,3 +192,141 @@ def test_cell_budget_rejects_oversized_map_before_allocating():
     # The default 241-step sweep caps npoints too, even if only npoints is set.
     with pytest.raises(ConfigError, match="cell budget"):
         parse_config(MINIMAL + "npoints = 70000\n")
+    # Two integers of the most digits int() parses have a product too long to print.
+    big = "9" * 4300
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"npoints = {big}\nsweep_steps = {big}\n")
+    assert err.value.problems == [
+        f"line 5: npoints * sweep_steps = {big} * {big} exceeds the cell budget of {MAX_CELLS}"
+    ]
+
+
+PAIRED = "e_xd_ev = 1.0\nhw_l_ev = 1.0\nt_ev = 0.1\n"
+
+
+def test_every_rule_reports_its_exact_message():
+    bad = (
+        "e_xd_ev = 1.0\nhw_l_ev = 0.0\nt_ev = -0.1\n"
+        "g_ev = -0.01\nn = 0\nmu = 0\nd_nm = 0\ngamma0_ev = 0\na_ev_per_k = -1\nb_ev = -1\n"
+        "gamma_rad_ev = 0\ntemp_k = -1\ndp_min_ev = 1\ndp_max_ev = 0\nnpoints = 1\nsweep_lo = 1\n"
+        "sweep_hi = 0\nsweep_steps = 1\nenergy_tol_ev = 0\nintensity_floor = 1\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    # The coupling group, then the one-key rules in table order, then the cross-key checks.
+    assert err.value.problems == [
+        "line 4: g_ev must be non-negative",
+        "line 5: n must be >= 1",
+        "line 2: hw_l_ev must be positive",
+        "line 3: t_ev must be non-negative (tunneling rate)",
+        "line 6: mu must be positive",
+        "line 7: d_nm must be positive",
+        "line 8: gamma0_ev must be positive",
+        "line 9: a_ev_per_k must be non-negative",
+        "line 10: b_ev must be non-negative",
+        "line 11: gamma_rad_ev must be positive",
+        "line 12: temp_k must be >= 0",
+        "line 15: npoints must be >= 2",
+        "line 18: sweep_steps must be >= 2",
+        "line 19: energy_tol_ev must be positive",
+        "line 20: intensity_floor must be in [0, 1)",
+        "line 13: need dp_min_ev < dp_max_ev",
+        "line 16: need sweep_lo < sweep_hi",
+    ]
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "b_ev = 1e-3\ndelta_e_ev = -1\n")
+    assert err.value.problems == ["line 6: delta_e_ev must be positive when b_ev > 0"]
+
+
+def test_defaults_pass_their_own_rules():
+    # parse_config applies a one-key rule only to a key the text sets.
+    for f in fields(RunConfig):
+        if f.metadata["rule"] and f.default is not MISSING:
+            test, _ = f.metadata["rule"]
+            assert test(f.default), f.name
+
+
+def test_coupling_that_overflows_is_a_config_error():
+    # An n past the largest float has no sqrt, whatever g_ev is.
+    for n in ("1" + "0" * 400, str(2**1024), "9" * 4300):
+        with pytest.raises(ConfigError) as err:
+            parse_config(PAIRED + f"g_ev = 1e-200\nn = {n}\n")
+        assert err.value.problems == ["line 5: g_ev * sqrt(n) overflows (g_ev on line 4)"]
+    with pytest.raises(ConfigError) as err:
+        parse_config(PAIRED + "n = 4\ng_ev = 1e308\n")
+    assert err.value.problems == ["line 4: g_ev * sqrt(n) overflows (g_ev on line 5)"]
+    largest = int(sys.float_info.max)
+    assert parse_config(PAIRED + f"g_ev = 1e-200\nn = {largest}\n").g_sqrt_n_ev == 1e-200 * math.sqrt(largest)
+    assert parse_config(PAIRED + "n = 4\ng_ev = 8e307\n").g_sqrt_n_ev == 1.6e308
+
+
+_HOSTILE = [
+    "0", "1", "-1", "2", "4", "0.5", "-0.0", "1e-320", "1e308", "-1e308", "1.7976931348623157e308",
+    "inf", "-inf", "nan", "1e400", "1" + "0" * 400, "9" * 4300, "9" * 4301, "1_0", "0x10", "", "abc", "=", "1 2", "#",
+]
+# Half the keys drawn are the coupling and the integer keys, where a hostile value can do most harm.
+_KEY = st.one_of(
+    st.sampled_from(["g_ev", "n", "g_sqrt_n_ev", "npoints", "sweep_steps"]),
+    st.sampled_from([f.name for f in fields(RunConfig)] + ["tt_ev", "N", ""]),
+)
+_VALUE = st.one_of(st.sampled_from(_HOSTILE), st.integers().map(str), st.floats().map(repr), st.text(max_size=6))
+_EDIT = st.one_of(
+    st.tuples(_KEY, _VALUE),  # set a key
+    st.tuples(_KEY, st.none()),  # drop it
+    st.tuples(st.none(), st.builds("{} = {}".format, _KEY, _VALUE) | st.text(max_size=12)),  # add a raw line
+)
+
+
+def _edited(base, edits):
+    """A valid config's text after edits: (key, value) sets, (key, None) drops, (None, line) appends a line."""
+    entries = dict(line.split(" = ") for line in base.splitlines())
+    extra = []
+    for key, value in edits:
+        if key is None:
+            extra.append(value)
+        elif value is None:
+            entries.pop(key, None)
+        else:
+            entries[key] = value
+    return "\n".join([f"{key} = {value}" for key, value in entries.items()] + extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from([MINIMAL, PAIRED + "g_ev = 0.01\nn = 4\n"]), edits=st.lists(_EDIT, max_size=6))
+@example(base=PAIRED + "g_ev = 0.01\nn = 4\n", edits=[("n", "1" + "0" * 400)])
+@example(base=PAIRED + "g_ev = 0.01\nn = 4\n", edits=[("g_ev", "1e308")])
+@example(base=MINIMAL, edits=[("npoints", "9" * 4300), ("sweep_steps", "9" * 4300)])
+def test_any_text_parses_or_raises_config_error(base, edits):
+    try:
+        cfg = parse_config(_edited(base, edits))
+    except ConfigError as exc:
+        assert exc.problems
+        return
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        assert type(value) is f.type
+        assert f.type is int or math.isfinite(value), f.name
+
+
+def _readme_config_table():
+    """The prose above the README's config table, and its rows as {key: (default, meaning)}."""
+    section = README.read_text().split("### Config format", 1)[1].split("\n#", 1)[0]
+    prose, _, table = section.partition("| key | default | meaning |")
+    rows = {}
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        keys, defaults, meaning = (cell.strip() for cell in line.strip().strip("|").split("|"))
+        for key, default in zip(keys.split(","), defaults.split(","), strict=True):
+            rows[key.strip(" `")] = (float(default.strip(" `")), meaning)
+    return prose, rows
+
+
+def test_readme_config_table_matches_the_key_table():
+    prose, rows = _readme_config_table()
+    assert {key: default for key, (default, _) in rows.items()} == {key: float(v) for key, v in DEFAULTS.items()}
+    docs = {f.name: f.metadata["doc"] for f in fields(RunConfig)}
+    assert {key: meaning for key, (_, meaning) in rows.items()} == {key: docs[key] for key in rows}
+    for key in docs.keys() - DEFAULTS.keys():
+        assert f"`{key}`" in prose, key
+    assert set(REQUIRED_KEYS) < docs.keys() - DEFAULTS.keys()

@@ -8,7 +8,6 @@ from qdmfluor import (
     BroadeningModel,
     GridSpec,
     SweepRange,
-    delta_values_from_field,
     dressed_energy_curves,
     intensity_map,
     resolvable_maxima,
@@ -31,8 +30,6 @@ def test_sweep_range_validation():
         SweepRange(lo=1.0, hi=0.0, steps=5)
     with pytest.raises(ValueError):
         SweepRange(lo=0.0, hi=1.0, steps=1)
-    with pytest.raises(ValueError):
-        SweepRange(lo=0.0, hi=1.0, steps=5, axis="voltage")
     rng = SweepRange(lo=0.0, hi=1.0, steps=5)
     assert np.array_equal(rng.values(), np.linspace(0.0, 1.0, 5))
 
@@ -61,11 +58,6 @@ class TestEnergyCurves:
         last = curves.energies[-1]
         assert last[0] == pytest.approx(-0.1, abs=0.1**2 / 50.0)
         assert last[1] == pytest.approx(0.1, abs=0.1**2 / 50.0)
-
-    def test_requires_delta_axis(self):
-        emitter, drive = strong_drive(delta=0.0)
-        with pytest.raises(ValueError):
-            dressed_energy_curves(SweepRange(0.0, 1.0, 3, axis="field"), emitter, drive)
 
 
 class TestBranches:
@@ -203,13 +195,3 @@ def test_bad_workers_rejected(workers):
         intensity_map(SweepRange(0.0, 0.06, 3), grid, emitter, drive, _model(), workers=workers)
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
         temperature_series([5.0], emitter, drive, _model(), grid, workers=workers)
-
-
-def test_field_axis_premap():
-    rng = SweepRange(lo=0.0, hi=50.0, steps=6, axis="field")
-    deltas = delta_values_from_field(rng, delta_zero_field=0.05, d_nm=10.0)
-    expected = 0.05 - 10.0 * rng.values() * 1e-4
-    assert np.allclose(deltas, expected, atol=1e-15)
-    assert deltas[-1] == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        delta_values_from_field(SweepRange(0.0, 1.0, 3, axis="delta"), 0.05, 10.0)
