@@ -24,10 +24,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .spectrum import hwhm, linewidth, synthesize, transitions
+from .core import dressed_states
+from .spectrum import CENTRAL, SIDE, line_table, line_widths, linewidth
 from .sweep import BRANCH_LABELS, intensity_map, temperature_series, transition_branches
-from .core import diagonalize, reduced_hamiltonian
 from . import svgplot
+
+# perfbench/layers.py wraps these per-triplet names in this namespace; the commands do not call them.
+from .core import diagonalize, reduced_hamiltonian  # noqa: F401
+from .spectrum import synthesize, transitions  # noqa: F401
 
 __all__ = ["main"]
 
@@ -108,17 +112,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg.with_overrides(temp_k=getattr(args, "temp", None), delta_ev=getattr(args, "delta", None))
 
 
-def _spectrum_components(cfg: RunConfig):
-    dressed = diagonalize(reduced_hamiltonian(cfg.emitter(), cfg.drive()))
-    trans = transitions(dressed, cfg.mu)
-    gamma = linewidth(cfg.broadening(), cfg.temp_k)
-    return trans, gamma
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    trans, gamma = _spectrum_components(cfg)
-    grid = synthesize(trans, gamma, cfg.gamma_rad_ev, cfg.grid())
+    # A spectrum is the one-temperature case of tempseries.
+    (grid,) = temperature_series([cfg.temp_k], cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
     columns = (_column(grid.delta_prime), _column(grid.intensity))
     _write_files({Path(args.out or "spectrum.csv"): _csv(SPECTRUM_HEADER, [columns])})
     return 0
@@ -126,14 +123,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_transitions(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    trans, gamma = _spectrum_components(cfg)
-    widths = [hwhm(tr.kind, gamma, cfg.gamma_rad_ev) for tr in trans]
+    emitter = cfg.emitter()
+    # One-row line tables: the nine lines at the config's splitting, in BRANCH_LABELS order.
+    a, lum = line_table(*dressed_states(emitter, cfg.drive(), [emitter.delta]), cfg.mu)
+    f = line_widths([linewidth(cfg.broadening(), cfg.temp_k)], cfg.gamma_rad_ev)
     columns = (
-        [f"{tr.i},{tr.j},{tr.kind}" for tr in trans],
-        _column([tr.a for tr in trans]),
-        _column([tr.lum for tr in trans]),
-        _column(widths),
-        _column([tr.lum / width for tr, width in zip(trans, widths)]),
+        [f"{i},{j},{CENTRAL if i == j else SIDE}" for i, j in BRANCH_LABELS],
+        *(_column(table[0]) for table in (a, lum, f, lum / f)),
     )
     _write_files({Path(args.out or "transitions.csv"): _csv(TRANSITIONS_HEADER, [columns])})
     return 0

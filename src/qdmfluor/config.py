@@ -78,10 +78,6 @@ class RunConfig:
     sweep_lo: float = _key(0.0, doc="splitting sweep bounds")
     sweep_hi: float = _key(0.06, doc="splitting sweep bounds")
     sweep_steps: int = _key(241, _AT_LEAST_2, doc="splitting sweep size")
-    energy_tol_ev: float = _key(1e-6, _POSITIVE, doc="line-clustering tolerance")
-    intensity_floor: float = _key(
-        1e-3, (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"), doc="relative luminosity floor for line counting"
-    )
 
     @property
     def effective_delta(self) -> float:
@@ -214,10 +210,20 @@ def parse_config(text: str) -> RunConfig:
     values: dict[str, float | int] = {**DEFAULTS, **raw}
     if values["b_ev"] > 0.0 and not values["delta_e_ev"] > 0.0:
         problems.append(f"{where('delta_e_ev')}delta_e_ev must be positive when b_ev > 0")
-    if not values["dp_min_ev"] < values["dp_max_ev"]:
-        problems.append(f"{where('dp_min_ev')}need dp_min_ev < dp_max_ev")
-    if not values["sweep_lo"] < values["sweep_hi"]:
-        problems.append(f"{where('sweep_lo')}need sweep_lo < sweep_hi")
+    if values["field_kv_per_cm"] != 0.0 and values["d_nm"] > 0.0:
+        delta = delta_from_field(values["delta_zero_field_ev"], values["d_nm"], values["field_kv_per_cm"])
+        if not math.isfinite(delta):
+            problems.append(
+                f"{where('field_kv_per_cm')}field-tuned splitting "
+                "delta_zero_field_ev - d_nm * field_kv_per_cm * 1e-4 overflows"
+            )
+    for lo, hi in (("dp_min_ev", "dp_max_ev"), ("sweep_lo", "sweep_hi")):
+        # The defaults pass both checks, so a failing pair has a bound set in the text.
+        bound = lo if lo in lines else hi
+        if not values[lo] < values[hi]:
+            problems.append(f"{where(bound)}need {lo} < {hi}")
+        elif not math.isfinite(values[hi] - values[lo]):
+            problems.append(f"{where(bound)}span {hi} - {lo} overflows")
     npoints, steps = values["npoints"], values["sweep_steps"]
     if npoints >= 2 and steps >= 2 and npoints * steps > MAX_CELLS:
         try:

@@ -30,7 +30,7 @@ import contextvars
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,11 +168,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """Sampled emission spectrum S(delta_prime) plus run metadata."""
+    """Sampled emission spectrum S(delta_prime)."""
 
     delta_prime: np.ndarray
     intensity: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.delta_prime, dtype=float)
@@ -187,14 +186,6 @@ class SpectrumGrid:
         y.setflags(write=False)
         object.__setattr__(self, "delta_prime", x)
         object.__setattr__(self, "intensity", y)
-
-    @property
-    def dp_min(self) -> float:
-        return float(self.delta_prime[0])
-
-    @property
-    def dp_max(self) -> float:
-        return float(self.delta_prime[-1])
 
     @property
     def npoints(self) -> int:
@@ -343,7 +334,6 @@ def synthesize(
     gamma_pop: float,
     gamma_rad: float,
     grid: GridSpec,
-    meta: dict | None = None,
 ) -> SpectrumGrid:
     """Sum the transition Lorentzians on a uniform detuning grid.
 
@@ -357,10 +347,7 @@ def synthesize(
     a = np.array([[tr.a for tr in trans]])
     lum = np.array([[tr.lum for tr in trans]])
     f = np.array([[hwhm(tr.kind, gamma_pop, gamma_rad) for tr in trans]])
-    full_meta = dict(meta) if meta else {}
-    full_meta.setdefault("gamma_pop_ev", gamma_pop)
-    full_meta.setdefault("gamma_rad_ev", gamma_rad)
-    return SpectrumGrid(delta_prime=x, intensity=lorentz_sum(a, lum, f, x)[0], meta=full_meta)
+    return SpectrumGrid(delta_prime=x, intensity=lorentz_sum(a, lum, f, x)[0])
 
 
 def count_peaks(

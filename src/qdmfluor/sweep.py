@@ -13,7 +13,7 @@ to the last bit, whatever ``workers`` is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -95,8 +95,6 @@ class TransitionBranches:
         object.__setattr__(self, "delta", d)
         object.__setattr__(self, "a", a)
 
-    labels = BRANCH_LABELS
-
 
 @dataclass(frozen=True)
 class IntensityMap:
@@ -105,7 +103,6 @@ class IntensityMap:
     delta_axis: np.ndarray
     dp_axis: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         d = np.asarray(self.delta_axis, dtype=float)
@@ -154,17 +151,13 @@ def temperature_series(
     None for no cap) caps the threads that sum the Lorentzian kernel's row
     blocks; the result does not depend on it.
     """
-    temp_list = [float(t) for t in temps]
-    if not temp_list:
+    gammas = [linewidth(model, float(t)) for t in temps]
+    if not gammas:
         raise ValueError("temps must not be empty")
     a, lum = line_table(*dressed_states(emitter, drive, [emitter.delta]), emitter.mu)
-    gammas = [linewidth(model, temp_k) for temp_k in temp_list]
     x = grid.values()
     rows = lorentz_sum(a, lum, line_widths(gammas, model.gamma_rad), x, workers)
-    return [
-        SpectrumGrid(x, row, {"temp_k": t, "delta_ev": emitter.delta, "gamma_pop_ev": g, "gamma_rad_ev": model.gamma_rad})
-        for t, g, row in zip(temp_list, gammas, rows)
-    ]
+    return [SpectrumGrid(x, row) for row in rows]
 
 
 def intensity_map(
@@ -188,12 +181,4 @@ def intensity_map(
     a, lum = line_table(*dressed_states(emitter, drive, deltas), emitter.mu)
     dp = grid.values()
     values = lorentz_sum(a, lum, line_widths([gamma], model.gamma_rad), dp, workers)
-    meta = {
-        "temp_k": temp_k,
-        "gamma_pop_ev": gamma,
-        "gamma_rad_ev": model.gamma_rad,
-        "t_ev": emitter.t,
-        "g_sqrt_n_ev": drive.g_sqrt_n,
-        "mu": emitter.mu,
-    }
-    return IntensityMap(delta_axis=deltas, dp_axis=dp, values=values, meta=meta)
+    return IntensityMap(delta_axis=deltas, dp_axis=dp, values=values)

@@ -79,8 +79,17 @@ def _assert_reparses_bitwise(path, columns):
         assert parsed.tobytes() == np.asarray(expected, dtype=float).tobytes()
 
 
-def test_outputs_match_per_cell_reference(cfg_path, tmp_path):
-    cfg = parse_config(SMALL)
+@pytest.mark.parametrize("text", [
+    SMALL,
+    SMALL + "field_kv_per_cm = 5.0\nd_nm = 12.0\ndelta_zero_field_ev = 0.009\n",  # field-tuned splitting
+    SMALL + "temp_k = 20\nb_ev = 2e-3\n",  # the optical-phonon term is on
+    SMALL.replace("hw_l_ev = 1.0", "hw_l_ev = 1.03"),  # off-resonant laser
+    SMALL.replace("g_sqrt_n_ev = 0.1", "g_ev = 0.01\nn = 100") + "mu = 1.7\n",  # coupling as g_ev and n
+], ids=["small", "field", "hot", "off-resonant", "g-n"])
+def test_outputs_match_per_cell_reference(text, tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    cfg = parse_config(text)
     dressed = diagonalize(reduced_hamiltonian(cfg.emitter(), cfg.drive()))
     trans = transitions(dressed, cfg.mu)
     gamma = linewidth(cfg.broadening(), cfg.temp_k)
@@ -240,6 +249,13 @@ def test_tempseries_writes_one_file_per_temperature(cfg_path, tmp_path):
     assert heights[0] > heights[1] > heights[2]
 
 
+def test_spectrum_is_the_one_temperature_tempseries(cfg_path, tmp_path):
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(out), "--temp", "20"]) == 0
+    assert main(["tempseries", "--config", str(cfg_path), "--out", str(tmp_path / "series.csv"), "--temps", "20"]) == 0
+    assert out.read_bytes() == (tmp_path / "series_T20K.csv").read_bytes()
+
+
 def test_temp_and_delta_overrides(cfg_path, tmp_path):
     base = tmp_path / "a.csv"
     hot = tmp_path / "b.csv"
@@ -293,14 +309,20 @@ def test_config_error_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["spectrum", "transitions", "branches", "map", "tempseries"])
-@pytest.mark.parametrize("coupling", ["g_ev = 0.01\nn = 1" + "0" * 400, "g_ev = 1e308\nn = 4"])
-def test_overflowing_coupling_exit_1(tmp_path, capsys, command, coupling):
-    cfg = tmp_path / "huge_n.cfg"
-    cfg.write_text(f"e_xd_ev = 1.0\nhw_l_ev = 1.0\nt_ev = 0.1\n{coupling}\n")
+@pytest.mark.parametrize("extra, message", [
+    ("g_ev = 0.01\nn = 1" + "0" * 400, "line 5: g_ev * sqrt(n) overflows (g_ev on line 4)"),
+    ("g_ev = 1e308\nn = 4", "line 5: g_ev * sqrt(n) overflows (g_ev on line 4)"),
+    ("g_sqrt_n_ev = 0.1\nfield_kv_per_cm = 1e308\nd_nm = 1e308", "line 5: field-tuned splitting"),
+    ("g_sqrt_n_ev = 0.1\ndp_min_ev = -1e308\ndp_max_ev = 1e308", "line 5: span dp_max_ev - dp_min_ev overflows"),
+    ("g_sqrt_n_ev = 0.1\nsweep_lo = -1e308\nsweep_hi = 1e308", "line 5: span sweep_hi - sweep_lo overflows"),
+], ids=["huge-n", "huge-g", "field", "grid", "sweep"])
+def test_overflowing_value_exit_1(tmp_path, capsys, command, extra, message):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(f"e_xd_ev = 1.0\nhw_l_ev = 1.0\nt_ev = 0.1\n{extra}\n")
     out = tmp_path / "x.csv"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "line 5: g_ev * sqrt(n) overflows (g_ev on line 4)" in err
+    assert "config error" in err and message in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -209,7 +209,7 @@ def test_every_rule_reports_its_exact_message():
         "e_xd_ev = 1.0\nhw_l_ev = 0.0\nt_ev = -0.1\n"
         "g_ev = -0.01\nn = 0\nmu = 0\nd_nm = 0\ngamma0_ev = 0\na_ev_per_k = -1\nb_ev = -1\n"
         "gamma_rad_ev = 0\ntemp_k = -1\ndp_min_ev = 1\ndp_max_ev = 0\nnpoints = 1\nsweep_lo = 1\n"
-        "sweep_hi = 0\nsweep_steps = 1\nenergy_tol_ev = 0\nintensity_floor = 1\n"
+        "sweep_hi = 0\nsweep_steps = 1\n"
     )
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
@@ -228,8 +228,6 @@ def test_every_rule_reports_its_exact_message():
         "line 12: temp_k must be >= 0",
         "line 15: npoints must be >= 2",
         "line 18: sweep_steps must be >= 2",
-        "line 19: energy_tol_ev must be positive",
-        "line 20: intensity_floor must be in [0, 1)",
         "line 13: need dp_min_ev < dp_max_ev",
         "line 16: need sweep_lo < sweep_hi",
     ]
@@ -296,6 +294,9 @@ def _edited(base, edits):
 @example(base=PAIRED + "g_ev = 0.01\nn = 4\n", edits=[("n", "1" + "0" * 400)])
 @example(base=PAIRED + "g_ev = 0.01\nn = 4\n", edits=[("g_ev", "1e308")])
 @example(base=MINIMAL, edits=[("npoints", "9" * 4300), ("sweep_steps", "9" * 4300)])
+@example(base=MINIMAL, edits=[("field_kv_per_cm", "1e308"), ("d_nm", "1e308")])
+@example(base=MINIMAL, edits=[("dp_min_ev", "-1e308"), ("dp_max_ev", "1e308")])
+@example(base=MINIMAL, edits=[("sweep_lo", "-1e308"), ("sweep_hi", "1e308")])
 def test_any_text_parses_or_raises_config_error(base, edits):
     try:
         cfg = parse_config(_edited(base, edits))
@@ -306,6 +307,29 @@ def test_any_text_parses_or_raises_config_error(base, edits):
         value = getattr(cfg, f.name)
         assert type(value) is f.type
         assert f.type is int or math.isfinite(value), f.name
+    # An accepted config builds every library object the commands use.
+    cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid(), cfg.delta_range()
+
+
+def test_cross_key_errors_name_a_line():
+    cases = {
+        "dp_max_ev = -1\n": "line 5: need dp_min_ev < dp_max_ev",
+        "sweep_hi = -1\n": "line 5: need sweep_lo < sweep_hi",
+        "field_kv_per_cm = 1e308\nd_nm = 1e308\n":
+            "line 5: field-tuned splitting delta_zero_field_ev - d_nm * field_kv_per_cm * 1e-4 overflows",
+        "delta_zero_field_ev = -1e308\nfield_kv_per_cm = -1e308\nd_nm = 1e4\n":
+            "line 6: field-tuned splitting delta_zero_field_ev - d_nm * field_kv_per_cm * 1e-4 overflows",
+        "dp_min_ev = -1e308\ndp_max_ev = 1e308\n": "line 5: span dp_max_ev - dp_min_ev overflows",
+        "dp_max_ev = 1.7976931348623157e308\ndp_min_ev = -1e300\n": "line 6: span dp_max_ev - dp_min_ev overflows",
+        "sweep_hi = 1e308\nsweep_lo = -1e308\n": "line 6: span sweep_hi - sweep_lo overflows",
+    }
+    for extra, message in cases.items():
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + extra)
+        assert err.value.problems == [message], extra
+    # The largest spans that do not overflow are accepted.
+    cfg = parse_config(MINIMAL + "dp_min_ev = -8e307\ndp_max_ev = 8e307\nfield_kv_per_cm = 1e308\nd_nm = 1\n")
+    assert cfg.grid().step == 1.6e308 / 7000 and cfg.effective_delta == 0.008 - 1e308 * 1e-4
 
 
 def _readme_config_table():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdmfluor import (
     DressedTriplet,
@@ -94,6 +96,23 @@ def test_eigensolver_residual_and_identities_randomized():
         assert np.abs(ds.coeffs @ ds.coeffs.T - np.eye(3)).max() <= 1e-12
         assert abs((dl + delta) - ds.energies.sum()) <= 1e-12
         assert abs(np.linalg.det(m) - np.prod(ds.energies)) <= 1e-10
+
+
+_ENERGY = st.floats(-10.0, 10.0)
+_RATE = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    emitter=st.builds(EmitterParams, e_xd=_ENERGY, delta=_ENERGY, t=_RATE, mu=st.floats(1e-3, 1e3), e0=_ENERGY),
+    drive=st.builds(DriveParams, n=st.integers(1, 10**6), g=_RATE, hw_l=st.floats(1e-3, 10.0)),
+)
+def test_eigen_residual_over_the_parameter_domain(emitter, drive):
+    # |M c - E c| for every dressed state, relative to the largest matrix entry.
+    h = reduced_hamiltonian(emitter, drive)
+    ds = diagonalize(h)
+    residual = h.m @ ds.coeffs.T - ds.coeffs.T * ds.energies
+    assert np.abs(residual).max() <= 1e-13 * np.abs(h.m).max()
 
 
 def test_energy_continuity_in_delta():

@@ -5,16 +5,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdmfluor import (
     CENTRAL,
     SIDE,
     BroadeningModel,
+    DriveParams,
+    EmitterParams,
     GridSpec,
     Transition,
     count_peaks,
     diagonalize,
+    dressed_states,
     hwhm,
+    line_table,
+    line_widths,
     linewidth,
     reduced_hamiltonian,
     resolvable_maxima,
@@ -346,6 +353,41 @@ def test_lorentz_sum_dark_line_with_underflowing_width():
     assert f[row, 3] * f[row, 3] == 0.0
     assert np.isfinite(got).all()
     assert got.tobytes() == want.tobytes()
+
+
+def _mirror_asymmetry(delta, t, g_sqrt_n, mu=1.0, e_xd=1.0, temp_k=0.0):
+    """max |S(x) - S(-x)| over x in [0, 1.5] eV and the line positions, relative to the peak of S.
+
+    The laser is on resonance (hw_l = e_xd with e0 = 0), so the laser detuning is exactly zero.
+    """
+    emitter = EmitterParams(e_xd=e_xd, delta=delta, t=t, mu=mu)
+    drive = DriveParams.from_effective_coupling(g_sqrt_n, hw_l=e_xd)
+    a, lum = line_table(*dressed_states(emitter, drive, [delta]), mu)
+    f = line_widths([linewidth(_model(), temp_k)], _model().gamma_rad)
+    x = np.concatenate([np.linspace(0.0, 1.5, 3001), np.abs(a[0])])
+    s_pos = spectrum.lorentz_sum(a, lum, f, x)[0]
+    s_neg = spectrum.lorentz_sum(a, lum, f, -x)[0]
+    return np.abs(s_pos - s_neg).max() / max(s_pos.max(), s_neg.max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t=st.floats(0.0, 0.5),
+    g_sqrt_n=st.floats(0.0, 0.5),
+    mu=st.floats(1e-3, 1e3),
+    e_xd=st.floats(0.1, 10.0),
+    temp_k=st.floats(0.0, 100.0),
+)
+def test_spectrum_mirror_symmetric_at_zero_splitting_and_laser_detuning(t, g_sqrt_n, mu, e_xd, temp_k):
+    # Lines within 2 * hypot(t, g_sqrt_n) <= 1.42 eV of the laser, so [0, 1.5] covers them all.
+    assert _mirror_asymmetry(0.0, t, g_sqrt_n, mu, e_xd, temp_k) <= 1e-10
+
+
+@pytest.mark.parametrize("t, g_sqrt_n", [(0.1, 0.1), (0.3, 0.05)])
+def test_nonzero_splitting_breaks_the_mirror_symmetry(t, g_sqrt_n):
+    # The control for the property above: the same measure at a 0.01 eV splitting is of order 1.
+    assert _mirror_asymmetry(0.0, t, g_sqrt_n) <= 1e-10
+    assert _mirror_asymmetry(0.01, t, g_sqrt_n) > 0.1
 
 
 class TestCountPeaks:

@@ -8,11 +8,16 @@ from qdmfluor import (
     BroadeningModel,
     GridSpec,
     SweepRange,
+    diagonalize,
     dressed_energy_curves,
     intensity_map,
+    linewidth,
+    reduced_hamiltonian,
     resolvable_maxima,
+    synthesize,
     temperature_series,
     transition_branches,
+    transitions,
 )
 from qdmfluor import DriveParams, EmitterParams, spectrum
 
@@ -100,15 +105,25 @@ class TestBranches:
 class TestTemperatureSeries:
     def test_heights_strictly_decrease(self):
         emitter, drive = strong_drive(delta=0.008)
-        grids = temperature_series([5.0, 20.0, 40.0], emitter, drive, _model(), GridSpec(-0.35, 0.35, 3501))
+        model = _model()
+        grid_spec = GridSpec(-0.35, 0.35, 3501)
+        grids = temperature_series([5.0, 20.0, 40.0], emitter, drive, model, grid_spec)
         maxima = [g.intensity.max() for g in grids]
         assert maxima[0] > maxima[1] > maxima[2]
-        assert all(g.meta["temp_k"] == t for g, t in zip(grids, (5.0, 20.0, 40.0)))
+        # Each spectrum is the standalone one at its own temperature, in the order given.
+        trans = transitions(diagonalize(reduced_hamiltonian(emitter, drive)), emitter.mu)
+        for grid, temp in zip(grids, (5.0, 20.0, 40.0)):
+            standalone = synthesize(trans, linewidth(model, temp), model.gamma_rad, grid_spec)
+            assert grid.intensity.tobytes() == standalone.intensity.tobytes()
 
     def test_zero_temperature_uses_floor_linewidth(self):
         emitter, drive = strong_drive(delta=0.008)
-        (grid,) = temperature_series([0.0], emitter, drive, _model(), GridSpec(-0.35, 0.35, 501))
-        assert grid.meta["gamma_pop_ev"] == pytest.approx(75e-6, rel=1e-12)
+        model = _model()
+        grid_spec = GridSpec(-0.35, 0.35, 501)
+        (grid,) = temperature_series([0.0], emitter, drive, model, grid_spec)
+        trans = transitions(diagonalize(reduced_hamiltonian(emitter, drive)), emitter.mu)
+        floor = synthesize(trans, model.gamma0, model.gamma_rad, grid_spec)
+        assert grid.intensity.tobytes() == floor.intensity.tobytes()
 
     def test_duplicate_temperatures_identical(self):
         emitter, drive = strong_drive(delta=0.008)
@@ -126,8 +141,6 @@ class TestTemperatureSeries:
 class TestIntensityMap:
     def test_rows_equal_standalone_runs(self):
         from dataclasses import replace
-
-        from qdmfluor import diagonalize, linewidth, reduced_hamiltonian, synthesize, transitions
 
         emitter, drive = strong_drive(delta=0.0)
         model = _model()
