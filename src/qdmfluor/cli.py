@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import os
 import sys
 from itertools import islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -25,7 +23,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
 from .core import dressed_states
-from .spectrum import CENTRAL, SIDE, line_table, line_widths, linewidth
+from .spectrum import CENTRAL, SIDE, line_table, line_widths
 from .sweep import BRANCH_LABELS, intensity_map, temperature_series, transition_branches
 from . import svgplot
 
@@ -126,7 +124,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
     emitter = cfg.emitter()
     # One-row line tables: the nine lines at the config's splitting, in BRANCH_LABELS order.
     a, lum = line_table(*dressed_states(emitter, cfg.drive(), [emitter.delta]), cfg.mu)
-    f = line_widths([linewidth(cfg.broadening(), cfg.temp_k)], cfg.gamma_rad_ev)
+    f = line_widths(cfg.broadening(), [cfg.temp_k])
     columns = (
         [f"{i},{j},{CENTRAL if i == j else SIDE}" for i, j in BRANCH_LABELS],
         *(_column(table[0]) for table in (a, lum, f, lum / f)),
@@ -199,61 +197,50 @@ def cmd_tempseries(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
+    """The header fields, and the body as one (rows, fields) float array: one row of finite floats per line."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            body = fh.tell()
+            if fh.readline() in ("", "\n"):  # loadtxt skips a blank line, and warns when it finds no data
+                raise _CliError(1, f"{path}: schema mismatch: no row on line 2")
+            fh.seek(body)
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            fh.seek(body)
+            if table.shape != (sum(1 for _ in fh), len(header)):  # a blank line, or rows of another length
+                raise _CliError(1, f"{path}: schema mismatch: need one row of {len(header)} fields on every line")
+            finite = np.isfinite(table)
+            if not finite.all():
+                row, col = np.unravel_index(np.argmin(finite), table.shape)
+                fh.seek(body)
+                text = next(islice(fh, row, None)).rstrip("\n").split(",")[col]
+                raise _CliError(1, f"{path}: line {row + 2}: non-finite value {text!r}")
     except OSError as exc:
         raise _CliError(2, f"cannot read {path}: {exc}") from exc
-    if not rows or len(rows) < 2:
-        raise _CliError(1, f"{path}: schema mismatch: empty or header-only CSV")
-    return rows[0], rows[1:]
-
-
-def _floats(rows: list[list[str]], col: int, path: Path) -> np.ndarray:
-    try:
-        values = np.fromiter(map(float, map(itemgetter(col), rows)), dtype=float, count=len(rows))
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise _CliError(1, f"{path}: schema mismatch: {exc}") from exc
-    finite = np.isfinite(values)
-    if not finite.all():
-        line = int(np.argmin(finite)) + 2
-        raise _CliError(1, f"{path}: line {line}: non-finite value {rows[line - 2][col]!r}")
-    return values
+    return header, table
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    header, rows = _read_csv(path)
+    header, table = _read_table(path)
     out = Path(args.out or path.with_suffix(".svg"))
 
     if header == SPECTRUM_HEADER and args.kind == "line":
-        x = _floats(rows, 0, path)
-        y = _floats(rows, 1, path)
+        x, y = table.T
         svg = svgplot.line_chart(x, [("", y)], x_label="delta_prime (eV)", y_label="intensity (arb.)")
     elif header == BRANCHES_HEADER and args.kind == "line":
-        deltas = _floats(rows, 0, path)
-        a_vals = _floats(rows, 3, path)
-        i_col = np.array([row[1] for row in rows])
-        j_col = np.array([row[2] for row in rows])
-        series = []
-        x = None
-        for i, j in ((str(i), str(j)) for i, j in BRANCH_LABELS):
-            mask = (i_col == i) & (j_col == j)
-            if not mask.any():
-                raise _CliError(1, f"{path}: schema mismatch: missing branch ({i},{j})")
-            xs = deltas[mask]
-            if x is None:
-                x = xs
-            elif xs.shape != x.shape or not np.array_equal(xs, x):
-                raise _CliError(1, f"{path}: schema mismatch: ragged branch table")
-            series.append((f"E{i}{j}", a_vals[mask]))
-        svg = svgplot.line_chart(x, series, x_label="delta (eV)", y_label="delta_prime (eV)")
+        # branches writes nine rows per splitting, one per line in BRANCH_LABELS order.
+        n = len(BRANCH_LABELS)
+        rows = table[: len(table) // n * n].reshape(-1, n, 4)
+        if len(table) % n or not ((rows[..., 1:3] == BRANCH_LABELS).all() and (rows[..., 0] == rows[:, :1, 0]).all()):
+            raise _CliError(1, f"{path}: schema mismatch: rows are not nine per splitting in (i,j) order {BRANCH_LABELS}")
+        series = [(f"E{i}{j}", rows[:, k, 3]) for k, (i, j) in enumerate(BRANCH_LABELS)]
+        svg = svgplot.line_chart(rows[:, 0, 0], series, x_label="delta (eV)", y_label="delta_prime (eV)")
     elif header == MAP_HEADER and args.kind == "heatmap":
-        deltas = _floats(rows, 0, path)
-        dps = _floats(rows, 1, path)
-        vals = _floats(rows, 2, path)
+        deltas, dps, vals = table.T
         d_axis = np.unique(deltas)
         x_axis = np.unique(dps)
         if d_axis.size * x_axis.size != vals.size:

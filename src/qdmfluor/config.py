@@ -18,7 +18,7 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .core import DriveParams, EmitterParams, delta_from_field
-from .spectrum import BroadeningModel, GridSpec
+from .spectrum import BroadeningModel, GridSpec, line_widths
 from .sweep import SweepRange
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "DEFAULTS", "REQUIRED_KEYS"]
@@ -168,8 +168,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration, reporting all violations at once."""
     raw, lines, problems = _parse_lines(text)
 
-    def where(key: str) -> str:
-        return f"line {lines[key]}: " if key in lines else ""
+    def where(*keys: str) -> str:  # the line of the first of keys that the text sets
+        return next((f"line {lines[key]}: " for key in keys if key in lines), "")
 
     for key in REQUIRED_KEYS:
         if key not in raw:
@@ -217,13 +217,14 @@ def parse_config(text: str) -> RunConfig:
                 f"{where('field_kv_per_cm')}field-tuned splitting "
                 "delta_zero_field_ev - d_nm * field_kv_per_cm * 1e-4 overflows"
             )
+    if "hw_l_ev" in raw and "e_xd_ev" in raw and not math.isfinite(values["hw_l_ev"] + values["e0_ev"] - values["e_xd_ev"]):
+        problems.append(f"{where('hw_l_ev')}laser detuning hw_l_ev + e0_ev - e_xd_ev overflows")
     for lo, hi in (("dp_min_ev", "dp_max_ev"), ("sweep_lo", "sweep_hi")):
         # The defaults pass both checks, so a failing pair has a bound set in the text.
-        bound = lo if lo in lines else hi
         if not values[lo] < values[hi]:
-            problems.append(f"{where(bound)}need {lo} < {hi}")
+            problems.append(f"{where(lo, hi)}need {lo} < {hi}")
         elif not math.isfinite(values[hi] - values[lo]):
-            problems.append(f"{where(bound)}span {hi} - {lo} overflows")
+            problems.append(f"{where(lo, hi)}span {hi} - {lo} overflows")
     npoints, steps = values["npoints"], values["sweep_steps"]
     if npoints >= 2 and steps >= 2 and npoints * steps > MAX_CELLS:
         try:
@@ -231,7 +232,7 @@ def parse_config(text: str) -> RunConfig:
         except ValueError:  # the product has more digits than int-to-str conversion allows
             product = f"{npoints} * {steps}"
         problems.append(
-            f"{where('npoints' if 'npoints' in lines else 'sweep_steps')}npoints * sweep_steps = {product} "
+            f"{where('npoints', 'sweep_steps')}npoints * sweep_steps = {product} "
             f"exceeds the cell budget of {MAX_CELLS}"
         )
 
@@ -242,4 +243,9 @@ def parse_config(text: str) -> RunConfig:
         values.update(n=1, g_ev=values["g_sqrt_n_ev"])
     else:
         values["g_sqrt_n_ev"] = values["g_ev"] * math.sqrt(values["n"])
-    return RunConfig(**{key: kind(values[key]) for key, kind in _TYPES.items()})
+    cfg = RunConfig(**{key: kind(values[key]) for key, kind in _TYPES.items()})
+    try:  # the defaults give finite widths, so a width that overflows has a key set in the text
+        line_widths(cfg.broadening(), [cfg.temp_k])
+    except ValueError as exc:
+        raise ConfigError([f"{where('temp_k', 'gamma0_ev', 'a_ev_per_k', 'b_ev', 'delta_e_ev', 'gamma_rad_ev')}{exc}"]) from None
+    return cfg

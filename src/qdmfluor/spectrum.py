@@ -224,7 +224,7 @@ def linewidth(model: BroadeningModel, temp_k: float) -> float:
     if not math.isfinite(temp_k) or temp_k < 0.0:
         raise ValueError(f"temperature must be >= 0 K, got {temp_k!r}")
     optical = 0.0
-    if model.b_coef > 0.0 and temp_k > 0.0:
+    if model.b_coef > 0.0 and K_B * temp_k > 0.0:  # K_B * T underflows to 0 for a subnormal T
         optical = model.b_coef * math.exp(-model.delta_e / (K_B * temp_k))
     return model.gamma0 + model.a_coef * temp_k + optical
 
@@ -246,9 +246,16 @@ def hwhm(kind: str, gamma_pop: float, gamma_rad: float) -> float:
     raise ValueError(f"unknown peak kind {kind!r}")
 
 
-def line_widths(gammas: list[float], gamma_rad: float) -> np.ndarray:
-    """Half widths, shape (len(gammas), 9) in BRANCH_LABELS order, one row per Gamma."""
-    return np.array([[hwhm(kind, g, gamma_rad) for kind in _KINDS] for g in gammas])
+def line_widths(model: BroadeningModel, temps: list[float]) -> np.ndarray:
+    """Half widths, shape (len(temps), 9) in BRANCH_LABELS order, one row per temperature."""
+    rows = []
+    for temp in temps:
+        gamma = linewidth(model, temp)
+        side = (gamma + model.gamma_rad) / 2.0  # the widest line; lorentz_sum squares it
+        if not math.isfinite(side * side):
+            raise ValueError(f"line widths overflow at temperature {temp!r} K (Gamma(T) = {gamma!r} eV)")
+        rows.append([hwhm(kind, gamma, model.gamma_rad) for kind in _KINDS])
+    return np.array(rows)
 
 
 def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, workers: int | None = None) -> np.ndarray:

@@ -33,6 +33,7 @@ _HEAT_STOPS = (
     (0.75, (94, 201, 98)),
     (1.0, (253, 231, 37)),
 )
+_STOP_POS, _STOP_RGB = (np.array(column) for column in zip(*_HEAT_STOPS))
 
 _MAX_HEAT_COLS = 512
 _MAX_HEAT_ROWS = 256
@@ -72,14 +73,13 @@ def _fmt_tick(value: float) -> str:
     return f"{value:g}"
 
 
-def _color(frac: float) -> str:
-    frac = min(max(frac, 0.0), 1.0)
-    for (lo_p, lo_c), (hi_p, hi_c) in zip(_HEAT_STOPS, _HEAT_STOPS[1:]):
-        if frac <= hi_p:
-            w = 0.0 if hi_p == lo_p else (frac - lo_p) / (hi_p - lo_p)
-            rgb = tuple(round(a + (b - a) * w) for a, b in zip(lo_c, hi_c))
-            return "#%02x%02x%02x" % rgb
-    return "#%02x%02x%02x" % _HEAT_STOPS[-1][1]
+def _colors(frac: np.ndarray) -> np.ndarray:
+    """Ramp colours of fractions (clipped to [0, 1]) as 0xRRGGBB integers."""
+    frac = np.clip(frac, 0.0, 1.0)
+    hi = np.maximum(np.searchsorted(_STOP_POS, frac), 1)  # the first stop at or above frac
+    w = (frac - _STOP_POS[hi - 1]) / (_STOP_POS[hi] - _STOP_POS[hi - 1])
+    rgb = np.rint(_STOP_RGB[hi - 1] + (_STOP_RGB[hi] - _STOP_RGB[hi - 1]) * w[..., None])
+    return rgb.astype(np.int64) @ np.array([1 << 16, 1 << 8, 1])
 
 
 def _widen(lo, hi):
@@ -240,18 +240,16 @@ def heatmap(
     cell_w = plot_w / n_cols
     cell_h = plot_h / n_rows
 
+    with np.errstate(over="ignore"):  # a value far below a tiny top divides to -inf, which clips to 0
+        colors = _colors(cells / scale).tolist()
+    xs = [_fmt(frame.px_lo + c * cell_w) for c in range(n_cols)]
+    size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
     parts: list[str] = []
     body: list[str] = []
-    for r in range(n_rows):
+    for r, row in enumerate(colors):
         # Row 0 is the lowest y value; draw it at the bottom.
         py = frame.py_lo - (r + 1) * cell_h
-        for c in range(n_cols):
-            color = _color(cells[r, c] / scale)
-            px = frame.px_lo + c * cell_w
-            body.append(
-                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cell_w + 0.5)}" '
-                f'height="{_fmt(cell_h + 0.5)}" fill="{color}"/>'
-            )
+        body.extend(map(f'<rect x="{{}}" y="{_fmt(py)}" {size} fill="#{{:06x}}"/>'.format, xs, row))
     _axes(parts, frame, x_label, y_label, title)
     # Cells first so the axis frame stays visible on top.
     return _svg(body + parts, (frame.x_lo, frame.x_hi), (frame.y_lo, frame.y_hi))

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import DriveParams, EmitterParams, dressed_states
-from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, linewidth, lorentz_sum
+from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, lorentz_sum
 
 # perfbench/layers.py wraps these per-triplet names in this namespace; the sweeps do not call them.
 from .core import diagonalize, reduced_hamiltonian  # noqa: F401
@@ -151,12 +151,12 @@ def temperature_series(
     None for no cap) caps the threads that sum the Lorentzian kernel's row
     blocks; the result does not depend on it.
     """
-    gammas = [linewidth(model, float(t)) for t in temps]
-    if not gammas:
+    f = line_widths(model, [float(t) for t in temps])
+    if not f.size:
         raise ValueError("temps must not be empty")
     a, lum = line_table(*dressed_states(emitter, drive, [emitter.delta]), emitter.mu)
     x = grid.values()
-    rows = lorentz_sum(a, lum, line_widths(gammas, model.gamma_rad), x, workers)
+    rows = lorentz_sum(a, lum, f, x, workers)
     return [SpectrumGrid(x, row) for row in rows]
 
 
@@ -177,8 +177,8 @@ def intensity_map(
     does not depend on it.
     """
     deltas = delta_range.values()
-    gamma = linewidth(model, temp_k)
+    f = line_widths(model, [temp_k])
     a, lum = line_table(*dressed_states(emitter, drive, deltas), emitter.mu)
     dp = grid.values()
-    values = lorentz_sum(a, lum, line_widths([gamma], model.gamma_rad), dp, workers)
+    values = lorentz_sum(a, lum, f, dp, workers)
     return IntensityMap(delta_axis=deltas, dp_axis=dp, values=values)

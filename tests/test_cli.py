@@ -159,6 +159,10 @@ def test_written_csv_reparses_to_the_same_floats(tmp_path_factory, columns):
     cli._write_files({path: cli._csv(cli.SPECTRUM_HEADER, [tuple(map(cli._column, columns))])})
     assert path.read_bytes() == _reference_csv(cli.SPECTRUM_HEADER, [list(map(_r, row)) for row in zip(*columns)])
     _assert_reparses_bitwise(path, dict(enumerate(columns)))
+    # plot's reader gives the same bits as float() on every field.
+    header, table = cli._read_table(path)
+    assert header == cli.SPECTRUM_HEADER
+    assert table.tobytes() == np.array(columns, dtype=float).T.tobytes()
 
 
 def test_spectrum_roundtrip_and_exit_code(cfg_path, tmp_path):
@@ -308,23 +312,47 @@ def test_config_error_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+_BASE = "e_xd_ev = 1.0\nhw_l_ev = 1.0\nt_ev = 0.1\n"
+
+
 @pytest.mark.parametrize("command", ["spectrum", "transitions", "branches", "map", "tempseries"])
-@pytest.mark.parametrize("extra, message", [
-    ("g_ev = 0.01\nn = 1" + "0" * 400, "line 5: g_ev * sqrt(n) overflows (g_ev on line 4)"),
-    ("g_ev = 1e308\nn = 4", "line 5: g_ev * sqrt(n) overflows (g_ev on line 4)"),
-    ("g_sqrt_n_ev = 0.1\nfield_kv_per_cm = 1e308\nd_nm = 1e308", "line 5: field-tuned splitting"),
-    ("g_sqrt_n_ev = 0.1\ndp_min_ev = -1e308\ndp_max_ev = 1e308", "line 5: span dp_max_ev - dp_min_ev overflows"),
-    ("g_sqrt_n_ev = 0.1\nsweep_lo = -1e308\nsweep_hi = 1e308", "line 5: span sweep_hi - sweep_lo overflows"),
-], ids=["huge-n", "huge-g", "field", "grid", "sweep"])
-def test_overflowing_value_exit_1(tmp_path, capsys, command, extra, message):
+@pytest.mark.parametrize("text, message", [
+    (_BASE + "g_ev = 0.01\nn = 1" + "0" * 400, "line 5: g_ev * sqrt(n) overflows (g_ev on line 4)"),
+    (_BASE + "g_ev = 1e308\nn = 4", "line 5: g_ev * sqrt(n) overflows (g_ev on line 4)"),
+    (_BASE + "g_sqrt_n_ev = 0.1\nfield_kv_per_cm = 1e308\nd_nm = 1e308", "line 5: field-tuned splitting"),
+    (_BASE + "g_sqrt_n_ev = 0.1\ndp_min_ev = -1e308\ndp_max_ev = 1e308", "line 5: span dp_max_ev - dp_min_ev overflows"),
+    (_BASE + "g_sqrt_n_ev = 0.1\nsweep_lo = -1e308\nsweep_hi = 1e308", "line 5: span sweep_hi - sweep_lo overflows"),
+    (_BASE + "g_sqrt_n_ev = 0.1\ngamma0_ev = 1e308\na_ev_per_k = 1e308\ntemp_k = 10",
+     "line 7: line widths overflow at temperature 10.0 K (Gamma(T) = inf eV)"),
+    (_BASE + "g_sqrt_n_ev = 0.1\ngamma0_ev = 1.7e308\ngamma_rad_ev = 1.7e308",
+     "line 5: line widths overflow at temperature 0.0 K (Gamma(T) = 1.7e+308 eV)"),
+    (_BASE + "g_sqrt_n_ev = 0.1\ntemp_k = 1e308", "line 5: line widths overflow at temperature 1e+308 K"),
+    ("e_xd_ev = -1e308\nhw_l_ev = 1e308\nt_ev = 0.1\ng_sqrt_n_ev = 0.1",
+     "line 2: laser detuning hw_l_ev + e0_ev - e_xd_ev overflows"),
+], ids=["huge-n", "huge-g", "field", "grid", "sweep", "gamma-t", "gamma-rad", "temp", "laser"])
+def test_overflowing_value_exit_1(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "overflow.cfg"
-    cfg.write_text(f"e_xd_ev = 1.0\nhw_l_ev = 1.0\nt_ev = 0.1\n{extra}\n")
+    cfg.write_text(text + "\n")
     out = tmp_path / "x.csv"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("spectrum", "--temp"), ("transitions", "--temp"), ("map", "--temp"), ("tempseries", "--temps"),
+])
+def test_overflowing_temperature_flag_exit_1(cfg_path, tmp_path, capsys, command, flag):
+    # Gamma(1e308 K) = 2.2e303 eV is finite, but the kernel's f * f is not: the spectrum would be all zeros.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"), flag, "1e308"]) == 1
+    assert "invalid parameters: line widths overflow at temperature 1e+308 K" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -424,6 +452,15 @@ def test_bad_workers_exit_2(cfg_path, tmp_path, capsys, command, workers):
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
+_SPECTRUM_TEXT = "delta_prime_ev,intensity\n0.0,1.0\n0.5,3.0\n1.0,2.0\n"
+
+
+def _branches_text(edit):
+    """A branches table of two splittings as the command writes it, with its body rows edited."""
+    rows = [f"{delta!r},{i},{j},{delta + i - j!r}\n" for delta in (0.0, 0.01) for i, j in BRANCH_LABELS]
+    return ",".join(cli.BRANCHES_HEADER) + "\n" + "".join(edit(rows))
+
+
 class TestPlot:
     def test_spectrum_line_plot(self, cfg_path, tmp_path):
         csv_path = tmp_path / "spectrum.csv"
@@ -483,6 +520,32 @@ class TestPlot:
         assert main(["plot", str(csv_path), "--kind", "heatmap"]) == 1
         assert "splitting-major" in capsys.readouterr().err
         assert not (tmp_path / "map.svg").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (_SPECTRUM_TEXT.replace("\n1.0,", "\n\n1.0,"), "schema mismatch"),
+        (_SPECTRUM_TEXT.replace("\n0.0,", "\n\n0.0,"), "schema mismatch: no row on line 2"),
+        (_SPECTRUM_TEXT.replace("0.0,1.0", "0.0,1.0,5.0"), "schema mismatch"),
+        (_SPECTRUM_TEXT.replace("1.0,2.0", "1.0"), "schema mismatch"),
+        ("delta_prime_ev,intensity\n", "schema mismatch: no row on line 2"),
+        ("", "schema mismatch: no row on line 2"),
+        (_SPECTRUM_TEXT.replace("2.0", "1_000"), "schema mismatch"),
+        (_SPECTRUM_TEXT.replace("1.0,2.0", "1.0,NaN"), "line 4: non-finite value 'NaN'"),
+        (_SPECTRUM_TEXT.replace("1.0,2.0", "1.0,1e999"), "line 4: non-finite value '1e999'"),
+        (_branches_text(lambda rows: rows[:3] + [rows[4], rows[3]] + rows[5:]), "schema mismatch: rows are not nine"),
+        (_branches_text(lambda rows: [row for row in rows if ",3,3," not in row]), "schema mismatch: rows are not nine"),
+        (_branches_text(lambda rows: rows[:4] + ["0.005" + rows[4][3:]] + rows[5:]), "schema mismatch: rows are not nine"),
+    ], ids=["blank", "blank-line-2", "extra-field", "missing-field", "header-only", "empty", "underscore",
+            "nan", "overflow", "branches-swapped", "branch-missing", "branches-ragged"])
+    def test_bad_table_exit_1(self, tmp_path, capsys, text, message):
+        csv_path = tmp_path / "table.csv"
+        csv_path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plot", str(csv_path), "--kind", "line"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qdmfluor: {csv_path}: ") and message in err
+        assert "Traceback" not in err
+        assert not csv_path.with_suffix(".svg").exists()
 
     @pytest.mark.parametrize("x_col", [(1e16, 1.0000000000000002e16), (0.0, 5e-324)])
     def test_line_plot_of_a_span_below_one_tick_step(self, tmp_path, capsys, x_col):

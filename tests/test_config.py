@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qdmfluor import ConfigError, RunConfig, parse_config
 from qdmfluor.config import DEFAULTS, MAX_CELLS, REQUIRED_KEYS
+from qdmfluor.spectrum import line_widths
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -297,6 +298,11 @@ def _edited(base, edits):
 @example(base=MINIMAL, edits=[("field_kv_per_cm", "1e308"), ("d_nm", "1e308")])
 @example(base=MINIMAL, edits=[("dp_min_ev", "-1e308"), ("dp_max_ev", "1e308")])
 @example(base=MINIMAL, edits=[("sweep_lo", "-1e308"), ("sweep_hi", "1e308")])
+@example(base=MINIMAL, edits=[("gamma0_ev", "1e308"), ("a_ev_per_k", "1e308"), ("temp_k", "10")])
+@example(base=MINIMAL, edits=[("gamma0_ev", "1.7e308"), ("gamma_rad_ev", "1.7e308")])
+@example(base=MINIMAL, edits=[("temp_k", "1e308")])
+@example(base=MINIMAL, edits=[("e_xd_ev", "-1e308"), ("hw_l_ev", "1e308")])
+@example(base=MINIMAL, edits=[("b_ev", "1e-3"), ("temp_k", "5e-324")])  # K_B * T underflows to 0
 def test_any_text_parses_or_raises_config_error(base, edits):
     try:
         cfg = parse_config(_edited(base, edits))
@@ -309,6 +315,7 @@ def test_any_text_parses_or_raises_config_error(base, edits):
         assert f.type is int or math.isfinite(value), f.name
     # An accepted config builds every library object the commands use.
     cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid(), cfg.delta_range()
+    line_widths(cfg.broadening(), [cfg.temp_k])
 
 
 def test_cross_key_errors_name_a_line():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qdmfluor import (
     CENTRAL,
     SIDE,
+    BRANCH_LABELS,
     BroadeningModel,
     DriveParams,
     EmitterParams,
@@ -121,6 +122,25 @@ class TestLinewidth:
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
             linewidth(_model(), -1.0)
+
+    def test_subnormal_temperature_with_optical_term(self):
+        # K_B * 5e-324 rounds to 0: the optical term is its T -> 0 limit, 0, not a division by zero.
+        model = BroadeningModel(gamma0=75e-6, a_coef=22e-6, gamma_rad=75e-6, b_coef=1e-3, delta_e=36e-3)
+        assert linewidth(model, 5e-324) == 75e-6
+
+    def test_line_widths_refuse_a_width_whose_square_overflows(self):
+        model = _model()
+        gamma = linewidth(model, 5.0)
+        expected = [hwhm(CENTRAL if i == j else SIDE, gamma, model.gamma_rad) for i, j in BRANCH_LABELS]
+        assert line_widths(model, [5.0]).tolist() == [expected]
+        assert np.isfinite(line_widths(model, [1e150]) ** 2).all()  # f = 1.1e145: f * f is finite
+        for temps in ([1e160], [5.0, 1e308]):  # f * f overflows; Gamma(1e308 K) itself is finite
+            with pytest.raises(ValueError) as err:
+                line_widths(model, temps)
+            assert f"line widths overflow at temperature {temps[-1]!r} K" in str(err.value)
+        huge = BroadeningModel(gamma0=1.7e308, a_coef=0.0, gamma_rad=1.7e308)  # Gamma + gamma overflows
+        with pytest.raises(ValueError, match="at temperature 0.0 K"):
+            line_widths(huge, [0.0])
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -363,7 +383,7 @@ def _mirror_asymmetry(delta, t, g_sqrt_n, mu=1.0, e_xd=1.0, temp_k=0.0):
     emitter = EmitterParams(e_xd=e_xd, delta=delta, t=t, mu=mu)
     drive = DriveParams.from_effective_coupling(g_sqrt_n, hw_l=e_xd)
     a, lum = line_table(*dressed_states(emitter, drive, [delta]), mu)
-    f = line_widths([linewidth(_model(), temp_k)], _model().gamma_rad)
+    f = line_widths(_model(), [temp_k])
     x = np.concatenate([np.linspace(0.0, 1.5, 3001), np.abs(a[0])])
     s_pos = spectrum.lorentz_sum(a, lum, f, x)[0]
     s_neg = spectrum.lorentz_sum(a, lum, f, -x)[0]

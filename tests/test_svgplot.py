@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qdmfluor import svgplot
 
@@ -92,10 +93,10 @@ def test_heatmap_max_pool_binning_caps_cell_count():
 
 
 def test_heatmap_color_ramp_monotone_anchors():
-    assert svgplot._color(0.0) == "#440154"
-    assert svgplot._color(1.0) == "#fde725"
-    mid = svgplot._color(0.5)
-    assert mid.startswith("#") and len(mid) == 7
+    low, mid, high, below, above = (f"#{c:06x}" for c in svgplot._colors(np.array([0.0, 0.5, 1.0, -1.0, 2.0])).tolist())
+    assert low == below == "#440154"  # fractions outside [0, 1] take the end colours
+    assert high == above == "#fde725"
+    assert mid == "#21918c"  # the middle stop, (33, 145, 140)
 
 
 def test_pool_max_exact_on_small_grid():
@@ -163,3 +164,53 @@ def test_line_chart_points_match_per_point_reference(data):
     expected = _reference_points(x, series)
     assert re.findall(r'<polyline points="([^"]*)"', svg) == expected
     assert "nan" not in svg and "inf" not in svg
+
+
+def _reference_color(frac):
+    """A cell's colour as heatmap picked it, one cell at a time, on the _HEAT_STOPS ramp."""
+    frac = min(max(frac, 0.0), 1.0)
+    for (lo_p, lo_c), (hi_p, hi_c) in zip(svgplot._HEAT_STOPS, svgplot._HEAT_STOPS[1:]):
+        if frac <= hi_p:
+            w = 0.0 if hi_p == lo_p else (frac - lo_p) / (hi_p - lo_p)
+            rgb = tuple(round(a + (b - a) * w) for a, b in zip(lo_c, hi_c))
+            return "#%02x%02x%02x" % rgb
+    return "#%02x%02x%02x" % svgplot._HEAT_STOPS[-1][1]
+
+
+def _reference_heatmap(x, y, values):
+    """heatmap's SVG built one cell at a time with _reference_color; the frame and axes are the module's."""
+    cells = svgplot._pool_max(values, svgplot._MAX_HEAT_ROWS, svgplot._MAX_HEAT_COLS)
+    n_rows, n_cols = cells.shape
+    top = float(cells.max())
+    scale = top if top > 0.0 else 1.0
+    frame = svgplot._Frame(float(x.min()), float(x.max()), float(y.min()), float(y.max()))
+    cell_w = (frame.px_hi - frame.px_lo) / n_cols
+    cell_h = (frame.py_lo - frame.py_hi) / n_rows
+    body = []
+    for r in range(n_rows):
+        py = frame.py_lo - (r + 1) * cell_h
+        for c in range(n_cols):
+            with np.errstate(over="ignore"):
+                color = _reference_color(cells[r, c] / scale)
+            px = frame.px_lo + c * cell_w
+            body.append(
+                f'<rect x="{svgplot._fmt(px)}" y="{svgplot._fmt(py)}" width="{svgplot._fmt(cell_w + 0.5)}" '
+                f'height="{svgplot._fmt(cell_h + 0.5)}" fill="{color}"/>'
+            )
+    parts = []
+    svgplot._axes(parts, frame, "", "", "")
+    return svgplot._svg(body + parts, (frame.x_lo, frame.x_hi), (frame.y_lo, frame.y_hi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12), elements=_VALUES))
+@example(values=np.arange(5.0)[None])  # every stop of the ramp, exactly
+@example(values=np.arange(4097.0).reshape(17, 241) / 4096)  # the 1/4096 lattice, all of [0, 1]
+@example(values=np.zeros((3, 4)))
+@example(values=np.random.default_rng(7).normal(size=(300, 600)))  # above the cell budget: max-pooled
+@example(values=np.array([[-1e308, 1e-300], [0.0, -0.0]]))  # a value far below a tiny top
+def test_heatmap_matches_per_cell_reference(values):
+    rows, cols = values.shape
+    x = np.linspace(-0.35, 0.35, cols)
+    y = np.linspace(0.0, 0.06, rows)
+    assert svgplot.heatmap(x, y, values) == _reference_heatmap(x, y, values)
