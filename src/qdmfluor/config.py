@@ -247,5 +247,24 @@ def parse_config(text: str) -> RunConfig:
     try:  # the defaults give finite widths, so a width that overflows has a key set in the text
         line_widths(cfg.broadening(), [cfg.temp_k])
     except ValueError as exc:
-        raise ConfigError([f"{where('temp_k', 'gamma0_ev', 'a_ev_per_k', 'b_ev', 'delta_e_ev', 'gamma_rad_ev')}{exc}"]) from None
+        problems.append(f"{where('temp_k', 'gamma0_ev', 'a_ev_per_k', 'b_ev', 'delta_e_ev', 'gamma_rad_ev')}{exc}")
+    # Gershgorin: every dressed energy lies within max(|delta_L|, |delta|) + g*sqrt(n) + t of zero, so the
+    # line positions E_i - E_j stay finite when twice that does, at every splitting a command may use.
+    centres = {  # key -> term; the line named is that of the largest term, which the text sets
+        "hw_l_ev": abs(cfg.hw_l_ev + cfg.e0_ev - cfg.e_xd_ev),
+        **{key: abs(getattr(cfg, key)) for key in ("delta_ev", "sweep_lo", "sweep_hi")},
+        # d_nm * field_kv_per_cm * 1e-4 is below 2e304, so only this key can make a field-tuned splitting huge.
+        "delta_zero_field_ev": abs(cfg.effective_delta),
+    }
+    radii = {"g_sqrt_n_ev" if has_direct else "g_ev": cfg.g_sqrt_n_ev, "t_ev": cfg.t_ev}
+    if not math.isfinite(2.0 * (max(centres.values()) + cfg.g_sqrt_n_ev + cfg.t_ev)):
+        terms = {**centres, **radii}
+        problems.append(
+            f"{where(max(terms, key=terms.get), 't_ev')}line positions overflow: the dressed-energy spread bound "
+            "2 * (max(|hw_l_ev + e0_ev - e_xd_ev|, |splitting|) + g * sqrt(n) + t_ev) is not finite"
+        )
+    if not math.isfinite(cfg.mu * cfg.mu):  # every luminosity is mu * mu times at most 1
+        problems.append(f"{where('mu')}luminosity scale mu * mu overflows")
+    if problems:
+        raise ConfigError(problems)
     return cfg

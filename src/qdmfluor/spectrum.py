@@ -198,15 +198,18 @@ def line_table(energies: np.ndarray, coeffs: np.ndarray, mu: float) -> tuple[np.
     energies (N, 3) and coeffs (N, 3, 3) are N stacked dressed states.  The
     lower state j supplies the C_g factor and the upper state i the C_XD factor.
     """
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValueError(f"dipole scale mu must be finite and non-negative, got {mu!r}")
-    a = energies[:, _UPPER] - energies[:, _LOWER]
+    if not math.isfinite(mu * mu) or mu < 0.0:  # each luminosity is mu * mu times at most 1
+        raise ValueError(f"dipole scale mu must be non-negative with a finite square, got {mu!r}")
+    with np.errstate(over="ignore"):  # refused below, with a message that names the line positions
+        a = energies[:, _UPPER] - energies[:, _LOWER]
+    if not np.isfinite(a).all():
+        raise ValueError("line positions a = E_i - E_j must be finite; the dressed-energy spread overflows")
     # Square through Python floats: float ** 2 is libm pow, which differs
     # from x * x (and np.square) in the last bit for some x.
     sq = (coeffs[:, :, :2].astype(object) ** 2).astype(float)
     lum = mu * mu * sq[:, _LOWER, 0] * sq[:, _UPPER, 1]
-    if not (np.isfinite(a).all() and np.isfinite(lum).all()):
-        raise ValueError("a and lum must be finite")
+    if not np.isfinite(lum).all():
+        raise ValueError("luminosities must be finite")
     return a, lum
 
 

@@ -8,17 +8,23 @@ splittings (:func:`core.dressed_states`), one (N, 9) line table
 per CPU, ``workers`` capping the count.  Row r of every result equals the
 standalone per-triplet computation at that row's splitting or temperature,
 to the last bit, whatever ``workers`` is.
+
+One sweep is solved once: the energies and the line table of the last
+sweep solved are kept, keyed on the exact bits of its matrix stack and on
+mu, so the curves, the branches and the map of one sweep share a single
+eigensolve.  The kept arrays are read-only, and results may share them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import DriveParams, EmitterParams, dressed_states
+from .core import DriveParams, EmitterParams, _eigensystems, _reduced_matrices
 from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, lorentz_sum
 
 # perfbench/layers.py wraps these per-triplet names in this namespace; the sweeps do not call them.
@@ -119,10 +125,31 @@ class IntensityMap:
         object.__setattr__(self, "values", v)
 
 
+def _solved(
+    emitter: EmitterParams, drive: DriveParams, deltas: np.ndarray | list[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only energies (N, 3) and line table a, lum (N, 9) at each splitting in deltas.
+
+    The bits of line_table(*dressed_states(emitter, drive, deltas), emitter.mu),
+    with the energies first.  The key is the bytes of the matrix stack, not
+    the parameters: a -0.0 splitting is another matrix than a 0.0 one.
+    """
+    m = _reduced_matrices(emitter, drive, np.asarray(deltas, dtype=float))
+    return _solve(m.tobytes(), emitter.mu)
+
+
+@functools.lru_cache(maxsize=1, typed=True)  # typed: a float32 mu equal to a float one squares in float32
+def _solve(m_bytes: bytes, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    energies, coeffs = _eigensystems(np.frombuffer(m_bytes).reshape(-1, 3, 3))
+    a, lum = line_table(energies, coeffs, mu)
+    # An array over bytes can never be made writeable again, so no caller can change a kept result.
+    return tuple(np.frombuffer(arr.tobytes()).reshape(arr.shape) for arr in (energies, a, lum))
+
+
 def dressed_energy_curves(rng: SweepRange, emitter: EmitterParams, drive: DriveParams) -> EnergyCurves:
     """Dressed energies E1 <= E2 <= E3 at each splitting value."""
     deltas = rng.values()
-    energies, _ = dressed_states(emitter, drive, deltas)
+    energies, _, _ = _solved(emitter, drive, deltas)
     return EnergyCurves(delta=deltas, energies=energies)
 
 
@@ -133,7 +160,7 @@ def transition_branches(rng: SweepRange, emitter: EmitterParams, drive: DrivePar
     at an exact level crossing a pair of labels can swap between rows.
     """
     deltas = rng.values()
-    a, _ = line_table(*dressed_states(emitter, drive, deltas), emitter.mu)
+    _, a, _ = _solved(emitter, drive, deltas)
     return TransitionBranches(delta=deltas, a=a)
 
 
@@ -154,7 +181,7 @@ def temperature_series(
     f = line_widths(model, [float(t) for t in temps])
     if not f.size:
         raise ValueError("temps must not be empty")
-    a, lum = line_table(*dressed_states(emitter, drive, [emitter.delta]), emitter.mu)
+    _, a, lum = _solved(emitter, drive, [emitter.delta])
     x = grid.values()
     rows = lorentz_sum(a, lum, f, x, workers)
     return [SpectrumGrid(x, row) for row in rows]
@@ -178,7 +205,7 @@ def intensity_map(
     """
     deltas = delta_range.values()
     f = line_widths(model, [temp_k])
-    a, lum = line_table(*dressed_states(emitter, drive, deltas), emitter.mu)
+    _, a, lum = _solved(emitter, drive, deltas)
     dp = grid.values()
     values = lorentz_sum(a, lum, f, dp, workers)
     return IntensityMap(delta_axis=deltas, dp_axis=dp, values=values)

@@ -329,7 +329,11 @@ _BASE = "e_xd_ev = 1.0\nhw_l_ev = 1.0\nt_ev = 0.1\n"
     (_BASE + "g_sqrt_n_ev = 0.1\ntemp_k = 1e308", "line 5: line widths overflow at temperature 1e+308 K"),
     ("e_xd_ev = -1e308\nhw_l_ev = 1e308\nt_ev = 0.1\ng_sqrt_n_ev = 0.1",
      "line 2: laser detuning hw_l_ev + e0_ev - e_xd_ev overflows"),
-], ids=["huge-n", "huge-g", "field", "grid", "sweep", "gamma-t", "gamma-rad", "temp", "laser"])
+    ("e_xd_ev = 1.0\nhw_l_ev = 1.0\nt_ev = 1e308\ng_sqrt_n_ev = 1e308", "line 4: line positions overflow"),
+    (_BASE + "g_sqrt_n_ev = 0.1\nsweep_hi = 1e308", "line 5: line positions overflow"),
+    (_BASE + "g_sqrt_n_ev = 0.1\nmu = 1e200", "line 5: luminosity scale mu * mu overflows"),
+], ids=["huge-n", "huge-g", "field", "grid", "sweep", "gamma-t", "gamma-rad", "temp", "laser", "spread",
+        "sweep-spread", "mu"])
 def test_overflowing_value_exit_1(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(text + "\n")

@@ -1,15 +1,18 @@
 import math
 import sys
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdmfluor import ConfigError, RunConfig, parse_config
 from qdmfluor.config import DEFAULTS, MAX_CELLS, REQUIRED_KEYS
-from qdmfluor.spectrum import line_widths
+from qdmfluor.core import dressed_states
+from qdmfluor.spectrum import line_table, line_widths
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,6 +22,11 @@ hw_l_ev = 1.0
 g_sqrt_n_ev = 0.1
 t_ev = 0.1
 """
+
+SPREAD_OVERFLOWS = (
+    "line positions overflow: the dressed-energy spread bound "
+    "2 * (max(|hw_l_ev + e0_ev - e_xd_ev|, |splitting|) + g * sqrt(n) + t_ev) is not finite"
+)
 
 
 def test_minimal_config_accepts_and_defaults():
@@ -256,7 +264,11 @@ def test_coupling_that_overflows_is_a_config_error():
     assert err.value.problems == ["line 4: g_ev * sqrt(n) overflows (g_ev on line 5)"]
     largest = int(sys.float_info.max)
     assert parse_config(PAIRED + f"g_ev = 1e-200\nn = {largest}\n").g_sqrt_n_ev == 1e-200 * math.sqrt(largest)
-    assert parse_config(PAIRED + "n = 4\ng_ev = 8e307\n").g_sqrt_n_ev == 1.6e308
+    # A finite g * sqrt(n) of 1.6e308 puts the dressed energies 3.2e308 apart: the line positions overflow.
+    with pytest.raises(ConfigError) as err:
+        parse_config(PAIRED + "n = 4\ng_ev = 8e307\n")
+    assert err.value.problems == [f"line 5: {SPREAD_OVERFLOWS}"]
+    assert parse_config(PAIRED + "n = 4\ng_ev = 4e307\n").g_sqrt_n_ev == 8e307
 
 
 _HOSTILE = [
@@ -303,6 +315,10 @@ def _edited(base, edits):
 @example(base=MINIMAL, edits=[("temp_k", "1e308")])
 @example(base=MINIMAL, edits=[("e_xd_ev", "-1e308"), ("hw_l_ev", "1e308")])
 @example(base=MINIMAL, edits=[("b_ev", "1e-3"), ("temp_k", "5e-324")])  # K_B * T underflows to 0
+@example(base=MINIMAL, edits=[("g_sqrt_n_ev", "1e308"), ("t_ev", "1e308")])  # finite energies, lines overflow
+@example(base=MINIMAL, edits=[("g_sqrt_n_ev", "4e307"), ("t_ev", "4e307")])  # the largest bound that is finite
+@example(base=MINIMAL, edits=[("sweep_hi", "1e308")])
+@example(base=MINIMAL, edits=[("mu", "1e200")])
 def test_any_text_parses_or_raises_config_error(base, edits):
     try:
         cfg = parse_config(_edited(base, edits))
@@ -313,9 +329,14 @@ def test_any_text_parses_or_raises_config_error(base, edits):
         value = getattr(cfg, f.name)
         assert type(value) is f.type
         assert f.type is int or math.isfinite(value), f.name
-    # An accepted config builds every library object the commands use.
+    # An accepted config builds every library object the commands use, and finite lines at every
+    # splitting a command may use, without a numpy warning.
     cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid(), cfg.delta_range()
     line_widths(cfg.broadening(), [cfg.temp_k])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        splittings = [cfg.effective_delta, cfg.delta_ev, cfg.sweep_lo, cfg.sweep_hi]
+        line_table(*dressed_states(cfg.emitter(), cfg.drive(), splittings), cfg.mu)
 
 
 def test_cross_key_errors_name_a_line():
@@ -337,6 +358,37 @@ def test_cross_key_errors_name_a_line():
     # The largest spans that do not overflow are accepted.
     cfg = parse_config(MINIMAL + "dp_min_ev = -8e307\ndp_max_ev = 8e307\nfield_kv_per_cm = 1e308\nd_nm = 1\n")
     assert cfg.grid().step == 1.6e308 / 7000 and cfg.effective_delta == 0.008 - 1e308 * 1e-4
+
+
+def test_dressed_energy_spread_that_overflows_is_a_config_error():
+    # The line named is that of the largest term of the bound; coupling and tunneling tie at 1e308.
+    cases = {
+        "e_xd_ev = 1.0\nhw_l_ev = 1.0\ng_sqrt_n_ev = 1e308\nt_ev = 1e308\n": 3,
+        PAIRED + "g_ev = 1e300\nn = 1" + "0" * 16 + "\n": 4,  # g_ev * sqrt(n) = 1e308
+        MINIMAL + "delta_ev = 1e308\n": 5,
+        MINIMAL + "sweep_lo = -9e307\n": 5,
+        MINIMAL + "field_kv_per_cm = 1\ndelta_zero_field_ev = -1e308\n": 6,  # a field-tuned splitting
+        "e_xd_ev = -5e307\nhw_l_ev = 5e307\ng_sqrt_n_ev = 0.1\nt_ev = 0.1\n": 2,  # laser detuning 1e308
+    }
+    for text, line in cases.items():
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [f"line {line}: {SPREAD_OVERFLOWS}"], text
+    # Reported together with a line width that overflows.
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "delta_ev = 1e308\ntemp_k = 1e308\n")
+    assert err.value.problems[1:] == [f"line 5: {SPREAD_OVERFLOWS}"]
+    # At a finite bound the lines are finite.
+    cfg = parse_config("e_xd_ev = 1.0\nhw_l_ev = 1.0\ng_sqrt_n_ev = 4e307\nt_ev = 4e307\n")
+    a, _ = line_table(*dressed_states(cfg.emitter(), cfg.drive(), [cfg.delta_ev]), cfg.mu)
+    assert np.isfinite(a).all() and np.abs(a).max() > 1e308
+
+
+def test_dipole_scale_whose_square_overflows_is_a_config_error():
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "mu = 1e200\n")
+    assert err.value.problems == ["line 5: luminosity scale mu * mu overflows"]
+    assert parse_config(MINIMAL + "mu = 1e154\n").mu == 1e154
 
 
 def _readme_config_table():

@@ -97,6 +97,18 @@ class TestTransitions:
             rev = sorted((round(-tr.a, 10), round(tr.lum, 10)) for tr in trs)
             assert fwd == rev
 
+    def test_line_table_refuses_overflow_by_name(self):
+        # Finite dressed energies near -+1.4e308, whose differences exceed the largest float.
+        emitter = EmitterParams(e_xd=1.0, delta=0.0, t=1e308)
+        energies, coeffs = dressed_states(emitter, DriveParams.from_effective_coupling(1e308, hw_l=1.0), [0.0])
+        assert np.isfinite(energies).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning would be an error here
+            with pytest.raises(ValueError, match=r"^line positions a = E_i - E_j must be finite"):
+                line_table(energies, coeffs, 1.0)
+            with pytest.raises(ValueError, match="^dipole scale mu must be non-negative with a finite square"):
+                line_table(energies, coeffs, 1e200)
+
     def test_rejects_bad_mu(self):
         emitter, drive = strong_drive(delta=0.0)
         dressed = diagonalize(reduced_hamiltonian(emitter, drive))

@@ -1,7 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdmfluor import (
     BRANCH_LABELS,
@@ -19,7 +23,7 @@ from qdmfluor import (
     transition_branches,
     transitions,
 )
-from qdmfluor import DriveParams, EmitterParams, spectrum
+from qdmfluor import DriveParams, EmitterParams, dressed_states, line_table, line_widths, lorentz_sum, spectrum, sweep
 
 from helpers import count_thread_starts, strong_drive
 
@@ -208,3 +212,119 @@ def test_bad_workers_rejected(workers):
         intensity_map(SweepRange(0.0, 0.06, 3), grid, emitter, drive, _model(), workers=workers)
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
         temperature_series([5.0], emitter, drive, _model(), grid, workers=workers)
+
+
+def _uncached(emitter, drive, deltas):
+    """Energies, a and lum of deltas through the public per-call path, which keeps nothing."""
+    energies, coeffs = dressed_states(emitter, drive, deltas)
+    return (energies, *line_table(energies, coeffs, emitter.mu))
+
+
+def test_one_study_point_solves_each_sweep_once(monkeypatch):
+    solved = []
+    real = sweep._eigensystems
+    monkeypatch.setattr(sweep, "_eigensystems", lambda m: solved.append(len(m)) or real(m))
+    sweep._solve.cache_clear()  # an earlier test may have left this sweep behind
+    emitter, drive = strong_drive(delta=0.008)
+    rng = SweepRange(lo=0.0, hi=0.06, steps=201)
+    grid = GridSpec(-0.35, 0.35, 101)
+    dressed_energy_curves(rng, emitter, drive)
+    transition_branches(rng, emitter, drive)
+    intensity_map(rng, grid, emitter, drive, _model())
+    temperature_series([5.0, 20.0], emitter, drive, _model(), grid)
+    assert solved == [201, 1]  # the sweep once for curves, branches and map; the series' one splitting
+
+
+# Twins that compare equal but may differ in bits.  SweepRange(lo, -0.0, n) == SweepRange(lo, 0.0, n), yet
+# the last splitting keeps its sign, and with no coupling a -0.0 splitting gives a -0.0 energy and -0.0
+# line positions (linspace drops the sign of lo, and e0 = -0.0 builds the same matrix as e0 = 0.0).  A
+# float32 mu equal to a float one squares in float32.
+_F32 = np.float32(1.1)
+_SWEEP_OP = st.tuples(
+    st.sampled_from(["curves", "branches", "map", "series"]),
+    st.sampled_from([(0.0, 0.02), (-0.0, 0.02), (-0.02, 0.0), (-0.02, -0.0), (-0.01, 0.01)]),  # lo, hi
+    st.sampled_from([0.0, -0.0]),  # e0
+    st.sampled_from([0.0, -0.0, 0.008]),  # the emitter's own splitting, the series'
+    st.sampled_from([(0.1, 0.1), (0.0, 0.0)]),  # (g, t); without coupling the sign of a zero survives
+    st.sampled_from([1.0, 1.5, _F32, float(_F32)]),  # mu
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_SWEEP_OP, min_size=1, max_size=8))
+@example(ops=[("branches", (-0.02, 0.0), 0.0, 0.0, (0.0, 0.0), 1.0), ("branches", (-0.02, -0.0), 0.0, 0.0, (0.0, 0.0), 1.0)])
+@example(ops=[("series", (0.0, 0.02), 0.0, 0.0, (0.0, 0.0), 1.0), ("series", (0.0, 0.02), 0.0, -0.0, (0.0, 0.0), 1.0)])
+@example(ops=[("map", (0.0, 0.02), 0.0, 0.0, (0.1, 0.1), _F32), ("map", (0.0, 0.02), -0.0, 0.0, (0.1, 0.1), float(_F32))])
+def test_any_interleaving_of_sweeps_matches_the_uncached_bits(ops):
+    model, grid, temp = _model(), GridSpec(-0.05, 0.05, 41), 5.0
+    for kind, (lo, hi), e0, delta, (g, t), mu in ops:
+        emitter = EmitterParams(e_xd=1.0, delta=delta, t=t, mu=mu, e0=e0)
+        drive = DriveParams(n=1, g=g, hw_l=1.0)
+        rng = SweepRange(lo=lo, hi=hi, steps=5)
+        if kind == "curves":
+            got, want = dressed_energy_curves(rng, emitter, drive).energies, _uncached(emitter, drive, rng.values())[0]
+        elif kind == "branches":
+            got, want = transition_branches(rng, emitter, drive).a, _uncached(emitter, drive, rng.values())[1]
+        elif kind == "map":
+            got = intensity_map(rng, grid, emitter, drive, model, temp_k=temp).values
+            _, a, lum = _uncached(emitter, drive, rng.values())
+            want = lorentz_sum(a, lum, line_widths(model, [temp]), grid.values())
+        else:
+            got = temperature_series([temp], emitter, drive, model, grid)[0].intensity
+            _, a, lum = _uncached(emitter, drive, [delta])
+            want = lorentz_sum(a, lum, line_widths(model, [temp]), grid.values())[0]
+        assert got.tobytes() == want.tobytes(), (kind, lo, hi, e0, delta, g, t, mu)
+
+
+def test_kept_arrays_cannot_be_written():
+    emitter, drive = strong_drive(delta=0.0)
+    rng = SweepRange(lo=0.0, hi=0.06, steps=11)
+    curves = dressed_energy_curves(rng, emitter, drive)
+    branches = transition_branches(rng, emitter, drive)  # shares the solve of the curves
+    kept = sweep._solved(emitter, drive, rng.values())
+    _, want_a, want_lum = _uncached(emitter, drive, rng.values())
+    for arr in (curves.energies, branches.a, *kept):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.negative(arr, out=arr)
+        base = arr
+        while isinstance(base, np.ndarray):  # no array over the kept bytes can be made writeable
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                base.setflags(write=True)
+            base = base.base
+    # The writes failed, so the next call, a cache hit, still gives the solved bits.
+    again = transition_branches(rng, emitter, drive)
+    assert again.a.tobytes() == want_a.tobytes()
+    assert sweep._solved(emitter, drive, rng.values())[2].tobytes() == want_lum.tobytes()
+
+
+def test_concurrent_sweeps_get_their_own_bits():
+    # More threads than a small host has cores.  Each alternates between two sweeps of its own, so
+    # every call evicts the kept sweep, and switches threads often, so that the calls overlap.
+    own = [
+        [(SweepRange(lo=-0.01 * k, hi=0.06, steps=301), *strong_drive(delta=0.0, t=0.1 - 0.01 * i)) for i in range(2)]
+        for k in range(4)
+    ]
+    want = [[_uncached(emitter, drive, rng.values())[1].tobytes() for rng, emitter, drive in sweeps] for sweeps in own]
+    start = threading.Barrier(len(own))
+    got: list[list[bytes]] = [[] for _ in own]
+
+    def run(k: int) -> None:
+        start.wait(timeout=60)
+        for i in range(40):
+            got[k].append(transition_branches(*own[k][i % 2]).a.tobytes())
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(own))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(len(own)):
+        assert got[k] == [want[k][i % 2] for i in range(40)]
