@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
 from .core import dressed_states
-from .spectrum import CENTRAL, SIDE, line_table, line_widths
+from .spectrum import CENTRAL, SIDE, line_table, line_widths, lorentz_terms
 from .sweep import BRANCH_LABELS, intensity_map, temperature_series, transition_branches
 from . import svgplot
 
@@ -125,6 +125,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
     # One-row line tables: the nine lines at the config's splitting, in BRANCH_LABELS order.
     a, lum = line_table(*dressed_states(emitter, cfg.drive(), [emitter.delta]), cfg.mu)
     f = line_widths(cfg.broadening(), [cfg.temp_k])
+    lorentz_terms(a, lum, f)  # refuses an intensity lum / f that overflows, as a spectrum of these lines would
     columns = (
         [f"{i},{j},{CENTRAL if i == j else SIDE}" for i, j in BRANCH_LABELS],
         *(_column(table[0]) for table in (a, lum, f, lum / f)),

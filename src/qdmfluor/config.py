@@ -17,8 +17,8 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .core import DriveParams, EmitterParams, delta_from_field
-from .spectrum import BroadeningModel, GridSpec, line_widths
+from .core import DriveParams, EmitterParams, delta_from_field, dressed_states
+from .spectrum import BroadeningModel, GridSpec, line_table, line_widths, lorentz_terms
 from .sweep import SweepRange
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "DEFAULTS", "REQUIRED_KEYS"]
@@ -125,6 +125,14 @@ DEFAULTS: dict[str, float | int] = {f.name: f.default for f in _KEYS if f.defaul
 
 REQUIRED_KEYS = tuple(f.name for f in _KEYS if f.metadata["required"])
 
+# The keys the line widths read; a width that fails names the first of them the text sets.
+_WIDTH_KEYS = ("temp_k", "gamma0_ev", "a_ev_per_k", "b_ev", "delta_e_ev", "gamma_rad_ev")
+# The keys whose magnitudes the line positions and their denominators read, in the order that breaks ties.
+_SIZED_KEYS = (
+    "hw_l_ev", "delta_ev", "sweep_lo", "sweep_hi", "delta_zero_field_ev", "g_sqrt_n_ev", "g_ev", "t_ev",
+    "dp_min_ev", "dp_max_ev", "gamma0_ev", "gamma_rad_ev",
+)
+
 
 def _parse_lines(text: str) -> tuple[dict[str, float | int], dict[str, int], list[str]]:
     raw: dict[str, float | int] = {}
@@ -210,21 +218,10 @@ def parse_config(text: str) -> RunConfig:
     values: dict[str, float | int] = {**DEFAULTS, **raw}
     if values["b_ev"] > 0.0 and not values["delta_e_ev"] > 0.0:
         problems.append(f"{where('delta_e_ev')}delta_e_ev must be positive when b_ev > 0")
-    if values["field_kv_per_cm"] != 0.0 and values["d_nm"] > 0.0:
-        delta = delta_from_field(values["delta_zero_field_ev"], values["d_nm"], values["field_kv_per_cm"])
-        if not math.isfinite(delta):
-            problems.append(
-                f"{where('field_kv_per_cm')}field-tuned splitting "
-                "delta_zero_field_ev - d_nm * field_kv_per_cm * 1e-4 overflows"
-            )
-    if "hw_l_ev" in raw and "e_xd_ev" in raw and not math.isfinite(values["hw_l_ev"] + values["e0_ev"] - values["e_xd_ev"]):
-        problems.append(f"{where('hw_l_ev')}laser detuning hw_l_ev + e0_ev - e_xd_ev overflows")
     for lo, hi in (("dp_min_ev", "dp_max_ev"), ("sweep_lo", "sweep_hi")):
         # The defaults pass both checks, so a failing pair has a bound set in the text.
         if not values[lo] < values[hi]:
             problems.append(f"{where(lo, hi)}need {lo} < {hi}")
-        elif not math.isfinite(values[hi] - values[lo]):
-            problems.append(f"{where(lo, hi)}span {hi} - {lo} overflows")
     npoints, steps = values["npoints"], values["sweep_steps"]
     if npoints >= 2 and steps >= 2 and npoints * steps > MAX_CELLS:
         try:
@@ -244,27 +241,35 @@ def parse_config(text: str) -> RunConfig:
     else:
         values["g_sqrt_n_ev"] = values["g_ev"] * math.sqrt(values["n"])
     cfg = RunConfig(**{key: kind(values[key]) for key, kind in _TYPES.items()})
-    try:  # the defaults give finite widths, so a width that overflows has a key set in the text
-        line_widths(cfg.broadening(), [cfg.temp_k])
-    except ValueError as exc:
-        problems.append(f"{where('temp_k', 'gamma0_ev', 'a_ev_per_k', 'b_ev', 'delta_e_ev', 'gamma_rad_ev')}{exc}")
-    # Gershgorin: every dressed energy lies within max(|delta_L|, |delta|) + g*sqrt(n) + t of zero, so the
-    # line positions E_i - E_j stay finite when twice that does, at every splitting a command may use.
-    centres = {  # key -> term; the line named is that of the largest term, which the text sets
-        "hw_l_ev": abs(cfg.hw_l_ev + cfg.e0_ev - cfg.e_xd_ev),
-        **{key: abs(getattr(cfg, key)) for key in ("delta_ev", "sweep_lo", "sweep_hi")},
-        # d_nm * field_kv_per_cm * 1e-4 is below 2e304, so only this key can make a field-tuned splitting huge.
-        "delta_zero_field_ev": abs(cfg.effective_delta),
-    }
-    radii = {"g_sqrt_n_ev" if has_direct else "g_ev": cfg.g_sqrt_n_ev, "t_ev": cfg.t_ev}
-    if not math.isfinite(2.0 * (max(centres.values()) + cfg.g_sqrt_n_ev + cfg.t_ev)):
-        terms = {**centres, **radii}
-        problems.append(
-            f"{where(max(terms, key=terms.get), 't_ev')}line positions overflow: the dressed-energy spread bound "
-            "2 * (max(|hw_l_ev + e0_ev - e_xd_ev|, |splitting|) + g * sqrt(n) + t_ev) is not finite"
+
+    # Run the commands' own library code at the config's extremes; a stage's ValueError is one
+    # problem, on the line of a key the stage reads.  The extremes bound every row a command
+    # computes: the dressed-energy spread is convex in the splitting, so the sweep's ends bound its
+    # rows; the lines come in +- pairs, so the grid's ends bound every denominator; and each
+    # luminosity is at most mu * mu, which bounds every peak height.
+    def stage(keys, compute):
+        try:
+            return compute()
+        except ValueError as exc:
+            problems.append(f"{where(*keys)}{exc}")
+
+    emitter = stage(["field_kv_per_cm"], cfg.emitter)
+    built = emitter, stage(["dp_min_ev", "dp_max_ev"], cfg.grid), stage(["sweep_lo", "sweep_hi"], cfg.delta_range)
+    f = stage(_WIDTH_KEYS, lambda: line_widths(cfg.broadening(), [cfg.temp_k]))
+    widths = 1.0 if f is None else f  # widths that overflow are reported above; unit widths check the rest
+    if None not in built:
+        # The lines and their denominators name the set key of the largest magnitude they read (ties: the first).
+        sizes = {key: abs(getattr(cfg, key)) for key in _SIZED_KEYS}
+        sizes.update(
+            hw_l_ev=abs(cfg.hw_l_ev + cfg.e0_ev - cfg.e_xd_ev), delta_zero_field_ev=abs(emitter.delta), g_ev=cfg.g_sqrt_n_ev
         )
-    if not math.isfinite(cfg.mu * cfg.mu):  # every luminosity is mu * mu times at most 1
-        problems.append(f"{where('mu')}luminosity scale mu * mu overflows")
+        largest = sorted(sizes, key=sizes.get, reverse=True)  # a stable sort
+        splittings = [emitter.delta, cfg.delta_ev, cfg.sweep_lo, cfg.sweep_hi]
+        # The positions at unit mu: mu only scales the luminosities, whose bound is checked below.
+        table = stage(largest, lambda: line_table(*dressed_states(emitter, cfg.drive(), splittings), 1.0))
+        if table is not None:
+            stage(largest, lambda: lorentz_terms(table[0], 0.0, widths, (cfg.dp_min_ev, cfg.dp_max_ev)))
+    stage(["mu", *_WIDTH_KEYS], lambda: lorentz_terms(0.0, cfg.mu * cfg.mu, widths))
     if problems:
         raise ConfigError(problems)
     return cfg

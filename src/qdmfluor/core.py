@@ -186,7 +186,7 @@ def _leading_negative(rows: np.ndarray) -> np.ndarray:
 def _check_eigensystems(energies: np.ndarray, coeffs: np.ndarray) -> None:
     """Validate energies (..., 3) and coeffs (..., 3, 3) as in DressedTriplet."""
     if not (np.isfinite(energies).all() and np.isfinite(coeffs).all()):
-        raise ValueError("energies and coeffs must be finite")
+        raise ValueError("dressed energies and coeffs must be finite")
     e1, e2, e3 = np.moveaxis(energies, -1, 0)
     if not ((e1 <= e2) & (e2 <= e3)).all():
         raise ValueError(f"energies must be ascending, got {energies}")
@@ -202,8 +202,10 @@ def _reduced_matrices(emitter: EmitterParams, drive: DriveParams, deltas: np.nda
     bad = deltas[~np.isfinite(deltas)]
     if bad.size:
         raise ValueError(f"delta must be finite, got {float(bad[0])!r}")
+    detuning = drive.hw_l + emitter.e0 - emitter.e_xd
+    _require_finite("laser detuning hw_l + e0 - e_xd", detuning)
     m = np.zeros((deltas.size, 3, 3))
-    m[:, 0, 0] = drive.hw_l + emitter.e0 - emitter.e_xd
+    m[:, 0, 0] = detuning
     m[:, 0, 1] = m[:, 1, 0] = drive.g_sqrt_n
     m[:, 1, 2] = m[:, 2, 1] = emitter.t
     m[:, 2, 2] = deltas
@@ -279,4 +281,6 @@ def delta_from_field(delta_zero_field: float, d_nm: float, field_kv_per_cm: floa
     _require_finite("field_kv_per_cm", field_kv_per_cm)
     if not math.isfinite(d_nm) or d_nm <= 0.0:
         raise ValueError(f"interdot distance d must be positive, got {d_nm}")
-    return delta_zero_field - d_nm * field_kv_per_cm * 1e-4
+    delta = delta_zero_field - d_nm * field_kv_per_cm * 1e-4
+    _require_finite("field-tuned splitting delta_zero_field - d * field * 1e-4", delta)
+    return delta

@@ -50,6 +50,7 @@ __all__ = [
     "linewidth",
     "hwhm",
     "line_widths",
+    "lorentz_terms",
     "lorentz_sum",
     "synthesize",
     "count_peaks",
@@ -250,15 +251,40 @@ def hwhm(kind: str, gamma_pop: float, gamma_rad: float) -> float:
 
 
 def line_widths(model: BroadeningModel, temps: list[float]) -> np.ndarray:
-    """Half widths, shape (len(temps), 9) in BRANCH_LABELS order, one row per temperature."""
+    """Half widths, shape (len(temps), 9) in BRANCH_LABELS order, one row per temperature.
+
+    lorentz_sum squares them, so a width whose square overflows, or rounds
+    to 0 (a division by 0 at the line's centre), is refused.
+    """
     rows = []
     for temp in temps:
         gamma = linewidth(model, temp)
-        side = (gamma + model.gamma_rad) / 2.0  # the widest line; lorentz_sum squares it
+        central, side = gamma / 2.0, (gamma + model.gamma_rad) / 2.0  # the narrowest and the widest line
         if not math.isfinite(side * side):
             raise ValueError(f"line widths overflow at temperature {temp!r} K (Gamma(T) = {gamma!r} eV)")
-        rows.append([hwhm(kind, gamma, model.gamma_rad) for kind in _KINDS])
+        if not central * central > 0.0:
+            raise ValueError(f"line widths underflow at temperature {temp!r} K (Gamma(T) = {gamma!r} eV)")
+        rows.append([central if kind == CENTRAL else side for kind in _KINDS])  # the bits of hwhm(kind, ...)
     return np.array(rows)
+
+
+def lorentz_terms(a, lum, f, x_ends=()) -> tuple[np.ndarray, np.ndarray]:
+    """The scales lum / f * f * f and squared widths f * f that lorentz_sum sums with.
+
+    a, lum and f broadcast to one (N, K) line table.  A scale, or a
+    denominator (x - a)^2 + f^2 at an x in x_ends, that overflows is refused
+    with a ValueError; on an interval of x the denominators peak at its ends.
+    """
+    a, lum, f = np.broadcast_arrays(a, lum, f)
+    with np.errstate(over="ignore"):  # refused below, with a message that names the quantity
+        scale = lum / f * f * f
+        f2 = f * f
+        dens = np.square(np.subtract.outer(a, np.asarray(x_ends, dtype=float))) + f2[..., None]
+    if not np.isfinite(scale).all():
+        raise ValueError("line intensities overflow: lum / f * f * f is not finite")
+    if not np.isfinite(dens).all():
+        raise ValueError("Lorentzian denominators overflow: (x - a)^2 + f^2 is not finite at a grid end")
+    return scale, f2
 
 
 def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, workers: int | None = None) -> np.ndarray:
@@ -267,6 +293,8 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
     a, lum and f (half widths) broadcast to one (N, K) line table.  Each
     line with nonzero luminosity adds I * f^2 / ((x - a)^2 + f^2) with
     I = lum / f, in column order; lines with zero luminosity add nothing.
+    A table whose scales or denominators overflow on x is refused first,
+    by lorentz_terms.
     Rows are summed a block of about _BLOCK_CELLS cells at a time.  When a
     block holds several rows, a line whose a and f are the same on every
     row has its denominator computed once per call.  The rows split into
@@ -280,8 +308,7 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
     if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
         raise ValueError(f"workers must be an integer >= 1 or None, got {workers!r}")
     a, lum, f = np.broadcast_arrays(a, lum, f)
-    scale = lum / f * f * f
-    f2 = f * f
+    scale, f2 = lorentz_terms(a, lum, f, (x.min(), x.max()) if x.size else ())
     n_rows = a.shape[0]
     y = np.zeros((n_rows, x.size))
     if not y.size:

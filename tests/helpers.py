@@ -7,13 +7,21 @@ half-maximum crossing measurements on sampled curves.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
+import tempfile
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 from qdmfluor import DriveParams, EmitterParams
+from qdmfluor.cli import main
+
+TABLE_COMMANDS = ("spectrum", "transitions", "branches", "map", "tempseries")
 
 
 def strong_drive(delta: float, t: float = 0.1, g_sqrt_n: float = 0.1):
@@ -154,3 +162,32 @@ def count_thread_starts(monkeypatch, cpus: int = 8) -> list:
     monkeypatch.setattr(threading, "Thread", CountingThread)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     return started
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stderr of main(argv), run in-process with every warning an error."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_finite_csv(path: Path) -> None:
+    """Every field below the header is a finite float, or a line kind."""
+    for row in path.read_text().splitlines()[1:]:
+        for value in row.split(","):
+            assert value in ("central", "side") or math.isfinite(float(value)), (path.name, row)
+
+
+def assert_runs_clean(text: str) -> None:
+    """Every table command exits 0 on the config text, with nothing on stderr and only finite CSV fields."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        for command in TABLE_COMMANDS:
+            out = Path(tmp) / command
+            out.mkdir()
+            assert run_cli([command, "--config", str(cfg), "--out", str(out / "x.csv")]) == (0, ""), command
+            for path in out.iterdir():
+                assert_finite_csv(path)

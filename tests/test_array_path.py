@@ -149,3 +149,6 @@ def test_overflowing_sweep_values_rejected():
     drive = DriveParams.from_effective_coupling(0.1, hw_l=1.0)
     with pytest.raises(ValueError, match="delta must be finite"):
         dressed_states(emitter, drive, [0.0, np.inf])
+    far = EmitterParams(e_xd=-1e308, delta=0.0, t=0.1)
+    with pytest.raises(ValueError, match=r"^laser detuning hw_l \+ e0 - e_xd must be finite, got inf$"):
+        dressed_states(far, DriveParams.from_effective_coupling(0.1, hw_l=1e308), [0.0])

@@ -315,25 +315,38 @@ def test_config_error_exit_1(tmp_path, capsys):
 _BASE = "e_xd_ev = 1.0\nhw_l_ev = 1.0\nt_ev = 0.1\n"
 
 
+_KERNEL = "Lorentzian denominators overflow: (x - a)^2 + f^2 is not finite at a grid end"
+
+
 @pytest.mark.parametrize("command", ["spectrum", "transitions", "branches", "map", "tempseries"])
 @pytest.mark.parametrize("text, message", [
     (_BASE + "g_ev = 0.01\nn = 1" + "0" * 400, "line 5: g_ev * sqrt(n) overflows (g_ev on line 4)"),
     (_BASE + "g_ev = 1e308\nn = 4", "line 5: g_ev * sqrt(n) overflows (g_ev on line 4)"),
-    (_BASE + "g_sqrt_n_ev = 0.1\nfield_kv_per_cm = 1e308\nd_nm = 1e308", "line 5: field-tuned splitting"),
-    (_BASE + "g_sqrt_n_ev = 0.1\ndp_min_ev = -1e308\ndp_max_ev = 1e308", "line 5: span dp_max_ev - dp_min_ev overflows"),
-    (_BASE + "g_sqrt_n_ev = 0.1\nsweep_lo = -1e308\nsweep_hi = 1e308", "line 5: span sweep_hi - sweep_lo overflows"),
+    (_BASE + "g_sqrt_n_ev = 0.1\nfield_kv_per_cm = 1e308\nd_nm = 1e308",
+     "line 5: field-tuned splitting delta_zero_field - d * field * 1e-4 must be finite, got -inf"),
+    (_BASE + "g_sqrt_n_ev = 0.1\ndp_min_ev = -1e308\ndp_max_ev = 1e308",
+     "line 5: grid span dp_max - dp_min overflows, got [-1e+308, 1e+308]"),
+    (_BASE + "g_sqrt_n_ev = 0.1\nsweep_lo = -1e308\nsweep_hi = 1e308",
+     "line 5: sweep span hi - lo overflows, got [-1e+308, 1e+308]"),
     (_BASE + "g_sqrt_n_ev = 0.1\ngamma0_ev = 1e308\na_ev_per_k = 1e308\ntemp_k = 10",
      "line 7: line widths overflow at temperature 10.0 K (Gamma(T) = inf eV)"),
     (_BASE + "g_sqrt_n_ev = 0.1\ngamma0_ev = 1.7e308\ngamma_rad_ev = 1.7e308",
      "line 5: line widths overflow at temperature 0.0 K (Gamma(T) = 1.7e+308 eV)"),
     (_BASE + "g_sqrt_n_ev = 0.1\ntemp_k = 1e308", "line 5: line widths overflow at temperature 1e+308 K"),
     ("e_xd_ev = -1e308\nhw_l_ev = 1e308\nt_ev = 0.1\ng_sqrt_n_ev = 0.1",
-     "line 2: laser detuning hw_l_ev + e0_ev - e_xd_ev overflows"),
-    ("e_xd_ev = 1.0\nhw_l_ev = 1.0\nt_ev = 1e308\ng_sqrt_n_ev = 1e308", "line 4: line positions overflow"),
-    (_BASE + "g_sqrt_n_ev = 0.1\nsweep_hi = 1e308", "line 5: line positions overflow"),
-    (_BASE + "g_sqrt_n_ev = 0.1\nmu = 1e200", "line 5: luminosity scale mu * mu overflows"),
+     "line 2: laser detuning hw_l + e0 - e_xd must be finite, got inf"),
+    ("e_xd_ev = 1.0\nhw_l_ev = 1.0\nt_ev = 1e308\ng_sqrt_n_ev = 1e308",
+     "line 4: line positions a = E_i - E_j must be finite; the dressed-energy spread overflows"),
+    (_BASE + "g_sqrt_n_ev = 0.1\nsweep_hi = 1e308", f"line 5: {_KERNEL}"),
+    (_BASE + "g_sqrt_n_ev = 0.1\nmu = 1e200", "line 5: line intensities overflow: lum / f * f * f is not finite"),
+    (_BASE + "g_sqrt_n_ev = 0.1\nmu = 1e150\ngamma0_ev = 1e-10\ngamma_rad_ev = 1e-10",
+     "line 5: line intensities overflow: lum / f * f * f is not finite"),
+    (_BASE + "g_sqrt_n_ev = 0.1\ndelta_ev = 1e200", f"line 5: {_KERNEL}"),
+    (_BASE + "g_sqrt_n_ev = 0.1\ndp_min_ev = -1e300\ndp_max_ev = 1e300", f"line 5: {_KERNEL}"),
+    (_BASE + "g_sqrt_n_ev = 0.1\ngamma0_ev = 1e-200\ngamma_rad_ev = 1e-200",
+     "line 5: line widths underflow at temperature 0.0 K (Gamma(T) = 1e-200 eV)"),
 ], ids=["huge-n", "huge-g", "field", "grid", "sweep", "gamma-t", "gamma-rad", "temp", "laser", "spread",
-        "sweep-spread", "mu"])
+        "sweep-spread", "mu", "intensity", "kernel-delta", "kernel-grid", "width-underflow"])
 def test_overflowing_value_exit_1(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(text + "\n")
@@ -357,6 +370,29 @@ def test_overflowing_temperature_flag_exit_1(cfg_path, tmp_path, capsys, command
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"), flag, "1e308"]) == 1
     assert "invalid parameters: line widths overflow at temperature 1e+308 K" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+_HOT_NARROW = "mu = 1e150\ngamma0_ev = 1e-10\ngamma_rad_ev = 1e-10\ntemp_k = 1e9\n"
+
+
+@pytest.mark.parametrize("command, extra, flag, message", [
+    ("spectrum", "", "--delta=1e200", _KERNEL),
+    ("tempseries", "", "--delta=1e200", _KERNEL),
+    # A cold --temp under a hot temp_k narrows the lines until their peak heights lum / f overflow.
+    ("spectrum", _HOT_NARROW, "--temp=0", "line intensities overflow: lum / f * f * f is not finite"),
+    ("transitions", _HOT_NARROW, "--temp=0", "line intensities overflow: lum / f * f * f is not finite"),
+    ("map", _HOT_NARROW, "--temp=0", "line intensities overflow: lum / f * f * f is not finite"),
+], ids=["spectrum-delta", "tempseries-delta", "spectrum-temp", "transitions-temp", "map-temp"])
+def test_flag_that_overflows_the_lines_exit_1(tmp_path, capsys, command, extra, flag, message):
+    # parse_config accepts the config; the flag bypasses its checks, and the run refuses it by name.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL + extra)
+    parse_config(cfg.read_text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv"), flag]) == 1
+    assert capsys.readouterr().err == f"qdmfluor: invalid parameters: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("command, flag", [

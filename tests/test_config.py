@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from qdmfluor import ConfigError, RunConfig, parse_config
 from qdmfluor.config import DEFAULTS, MAX_CELLS, REQUIRED_KEYS
 from qdmfluor.core import dressed_states
-from qdmfluor.spectrum import line_table, line_widths
+from qdmfluor.spectrum import line_table, line_widths, lorentz_terms
+
+from helpers import assert_runs_clean
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,10 +25,11 @@ g_sqrt_n_ev = 0.1
 t_ev = 0.1
 """
 
-SPREAD_OVERFLOWS = (
-    "line positions overflow: the dressed-energy spread bound "
-    "2 * (max(|hw_l_ev + e0_ev - e_xd_ev|, |splitting|) + g * sqrt(n) + t_ev) is not finite"
-)
+LINES_OVERFLOW = "line positions a = E_i - E_j must be finite; the dressed-energy spread overflows"
+KERNEL_OVERFLOWS = "Lorentzian denominators overflow: (x - a)^2 + f^2 is not finite at a grid end"
+INTENSITIES_OVERFLOW = "line intensities overflow: lum / f * f * f is not finite"
+# Small tables, so that a run of every command stays quick.
+SMALL = "npoints = 7\nsweep_steps = 3\n"
 
 
 def test_minimal_config_accepts_and_defaults():
@@ -267,8 +270,13 @@ def test_coupling_that_overflows_is_a_config_error():
     # A finite g * sqrt(n) of 1.6e308 puts the dressed energies 3.2e308 apart: the line positions overflow.
     with pytest.raises(ConfigError) as err:
         parse_config(PAIRED + "n = 4\ng_ev = 8e307\n")
-    assert err.value.problems == [f"line 5: {SPREAD_OVERFLOWS}"]
-    assert parse_config(PAIRED + "n = 4\ng_ev = 4e307\n").g_sqrt_n_ev == 8e307
+    assert err.value.problems == [f"line 5: {LINES_OVERFLOW}"]
+    # Lines 1.6e308 apart are finite, but the kernel squares them.
+    with pytest.raises(ConfigError) as err:
+        parse_config(PAIRED + "n = 4\ng_ev = 4e307\n")
+    assert err.value.problems == [f"line 5: {KERNEL_OVERFLOWS}"]
+    assert parse_config(PAIRED + "n = 4\ng_ev = 3e153\n").g_sqrt_n_ev == 6e153
+    assert_runs_clean(PAIRED + "n = 4\ng_ev = 3e153\n" + SMALL)
 
 
 _HOSTILE = [
@@ -316,7 +324,11 @@ def _edited(base, edits):
 @example(base=MINIMAL, edits=[("e_xd_ev", "-1e308"), ("hw_l_ev", "1e308")])
 @example(base=MINIMAL, edits=[("b_ev", "1e-3"), ("temp_k", "5e-324")])  # K_B * T underflows to 0
 @example(base=MINIMAL, edits=[("g_sqrt_n_ev", "1e308"), ("t_ev", "1e308")])  # finite energies, lines overflow
-@example(base=MINIMAL, edits=[("g_sqrt_n_ev", "4e307"), ("t_ev", "4e307")])  # the largest bound that is finite
+@example(base=MINIMAL, edits=[("g_sqrt_n_ev", "4e307"), ("t_ev", "4e307")])  # finite lines, squares overflow
+@example(base=MINIMAL, edits=[("mu", "1e150"), ("gamma0_ev", "1e-10"), ("gamma_rad_ev", "1e-10")])  # lum / f overflows
+@example(base=MINIMAL, edits=[("delta_ev", "1e200")])  # (x - a)^2 overflows
+@example(base=MINIMAL, edits=[("dp_min_ev", "-1e300"), ("dp_max_ev", "1e300")])
+@example(base=MINIMAL, edits=[("gamma0_ev", "1e-200"), ("gamma_rad_ev", "1e-200")])  # f * f underflows to 0
 @example(base=MINIMAL, edits=[("sweep_hi", "1e308")])
 @example(base=MINIMAL, edits=[("mu", "1e200")])
 def test_any_text_parses_or_raises_config_error(base, edits):
@@ -329,14 +341,15 @@ def test_any_text_parses_or_raises_config_error(base, edits):
         value = getattr(cfg, f.name)
         assert type(value) is f.type
         assert f.type is int or math.isfinite(value), f.name
-    # An accepted config builds every library object the commands use, and finite lines at every
-    # splitting a command may use, without a numpy warning.
+    # An accepted config builds every library object the commands use, finite lines at every
+    # splitting a command may use, and finite Lorentzian terms at its grid ends, without a numpy warning.
     cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid(), cfg.delta_range()
-    line_widths(cfg.broadening(), [cfg.temp_k])
+    f = line_widths(cfg.broadening(), [cfg.temp_k])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         splittings = [cfg.effective_delta, cfg.delta_ev, cfg.sweep_lo, cfg.sweep_hi]
-        line_table(*dressed_states(cfg.emitter(), cfg.drive(), splittings), cfg.mu)
+        a, lum = line_table(*dressed_states(cfg.emitter(), cfg.drive(), splittings), cfg.mu)
+        lorentz_terms(a, lum, f, (cfg.dp_min_ev, cfg.dp_max_ev))
 
 
 def test_cross_key_errors_name_a_line():
@@ -344,51 +357,79 @@ def test_cross_key_errors_name_a_line():
         "dp_max_ev = -1\n": "line 5: need dp_min_ev < dp_max_ev",
         "sweep_hi = -1\n": "line 5: need sweep_lo < sweep_hi",
         "field_kv_per_cm = 1e308\nd_nm = 1e308\n":
-            "line 5: field-tuned splitting delta_zero_field_ev - d_nm * field_kv_per_cm * 1e-4 overflows",
+            "line 5: field-tuned splitting delta_zero_field - d * field * 1e-4 must be finite, got -inf",
         "delta_zero_field_ev = -1e308\nfield_kv_per_cm = -1e308\nd_nm = 1e4\n":
-            "line 6: field-tuned splitting delta_zero_field_ev - d_nm * field_kv_per_cm * 1e-4 overflows",
-        "dp_min_ev = -1e308\ndp_max_ev = 1e308\n": "line 5: span dp_max_ev - dp_min_ev overflows",
-        "dp_max_ev = 1.7976931348623157e308\ndp_min_ev = -1e300\n": "line 6: span dp_max_ev - dp_min_ev overflows",
-        "sweep_hi = 1e308\nsweep_lo = -1e308\n": "line 6: span sweep_hi - sweep_lo overflows",
+            "line 6: field-tuned splitting delta_zero_field - d * field * 1e-4 must be finite, got inf",
+        "dp_min_ev = -1e308\ndp_max_ev = 1e308\n": "line 5: grid span dp_max - dp_min overflows, got [-1e+308, 1e+308]",
+        "dp_max_ev = 1.7976931348623157e308\ndp_min_ev = -1e300\n":
+            "line 6: grid span dp_max - dp_min overflows, got [-1e+300, 1.7976931348623157e+308]",
+        "sweep_hi = 1e308\nsweep_lo = -1e308\n": "line 6: sweep span hi - lo overflows, got [-1e+308, 1e+308]",
+        # Finite spans and splitting, but the kernel squares grid ends 8e307 from the lines.
+        "dp_min_ev = -8e307\ndp_max_ev = 8e307\nfield_kv_per_cm = 1e308\nd_nm = 1\n": f"line 5: {KERNEL_OVERFLOWS}",
     }
     for extra, message in cases.items():
         with pytest.raises(ConfigError) as err:
             parse_config(MINIMAL + extra)
         assert err.value.problems == [message], extra
-    # The largest spans that do not overflow are accepted.
-    cfg = parse_config(MINIMAL + "dp_min_ev = -8e307\ndp_max_ev = 8e307\nfield_kv_per_cm = 1e308\nd_nm = 1\n")
-    assert cfg.grid().step == 1.6e308 / 7000 and cfg.effective_delta == 0.008 - 1e308 * 1e-4
+    # The largest grid whose denominators stay finite is accepted, with a field-tuned splitting, and runs clean.
+    text = MINIMAL + SMALL + "dp_min_ev = -1e154\ndp_max_ev = 1e154\nfield_kv_per_cm = 1e150\nd_nm = 1\n"
+    cfg = parse_config(text)
+    assert cfg.grid().step == 2e154 / 6 and cfg.effective_delta == 0.008 - 1e150 * 1e-4
+    assert_runs_clean(text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace("-1e154", "-1.35e154"))
+    assert err.value.problems == [f"line 7: {KERNEL_OVERFLOWS}"]
 
 
 def test_dressed_energy_spread_that_overflows_is_a_config_error():
-    # The line named is that of the largest term of the bound; coupling and tunneling tie at 1e308.
+    # The line named is that of the largest magnitude the lines read; coupling and tunneling tie at 1e308.
     cases = {
-        "e_xd_ev = 1.0\nhw_l_ev = 1.0\ng_sqrt_n_ev = 1e308\nt_ev = 1e308\n": 3,
-        PAIRED + "g_ev = 1e300\nn = 1" + "0" * 16 + "\n": 4,  # g_ev * sqrt(n) = 1e308
-        MINIMAL + "delta_ev = 1e308\n": 5,
-        MINIMAL + "sweep_lo = -9e307\n": 5,
-        MINIMAL + "field_kv_per_cm = 1\ndelta_zero_field_ev = -1e308\n": 6,  # a field-tuned splitting
-        "e_xd_ev = -5e307\nhw_l_ev = 5e307\ng_sqrt_n_ev = 0.1\nt_ev = 0.1\n": 2,  # laser detuning 1e308
+        "e_xd_ev = 1.0\nhw_l_ev = 1.0\ng_sqrt_n_ev = 1e308\nt_ev = 1e308\n": (3, LINES_OVERFLOW),
+        PAIRED + "g_ev = 1e300\nn = 1" + "0" * 16 + "\n": (4, LINES_OVERFLOW),  # g_ev * sqrt(n) = 1e308
+        # Finite lines whose squares in the kernel overflow.
+        MINIMAL + "delta_ev = 1e308\n": (5, KERNEL_OVERFLOWS),
+        MINIMAL + "sweep_lo = -9e307\n": (5, KERNEL_OVERFLOWS),
+        MINIMAL + "field_kv_per_cm = 1\ndelta_zero_field_ev = -1e308\n": (6, KERNEL_OVERFLOWS),  # field-tuned
+        "e_xd_ev = -5e307\nhw_l_ev = 5e307\ng_sqrt_n_ev = 0.1\nt_ev = 0.1\n": (2, KERNEL_OVERFLOWS),  # detuning 1e308
+        "e_xd_ev = 1.0\nhw_l_ev = 1.0\ng_sqrt_n_ev = 4e307\nt_ev = 4e307\n": (3, KERNEL_OVERFLOWS),
+        # A laser detuning that overflows, and dressed energies that do.
+        "e_xd_ev = -1e308\nhw_l_ev = 1e308\ng_sqrt_n_ev = 0.1\nt_ev = 0.1\n":
+            (2, "laser detuning hw_l + e0 - e_xd must be finite, got inf"),
+        "e_xd_ev = -1.5e308\nhw_l_ev = 1.0\ng_sqrt_n_ev = 1.5e308\nt_ev = 0.1\n":
+            (2, "dressed energies and coeffs must be finite"),
     }
-    for text, line in cases.items():
+    for text, (line, message) in cases.items():
         with pytest.raises(ConfigError) as err:
             parse_config(text)
-        assert err.value.problems == [f"line {line}: {SPREAD_OVERFLOWS}"], text
+        assert err.value.problems == [f"line {line}: {message}"], text
     # Reported together with a line width that overflows.
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + "delta_ev = 1e308\ntemp_k = 1e308\n")
-    assert err.value.problems[1:] == [f"line 5: {SPREAD_OVERFLOWS}"]
-    # At a finite bound the lines are finite.
-    cfg = parse_config("e_xd_ev = 1.0\nhw_l_ev = 1.0\ng_sqrt_n_ev = 4e307\nt_ev = 4e307\n")
+    assert err.value.problems == [
+        "line 6: line widths overflow at temperature 1e+308 K (Gamma(T) = 2.2e+303 eV)",
+        f"line 5: {KERNEL_OVERFLOWS}",
+    ]
+    # The largest coupling and tunneling whose lines the kernel can square are accepted, and run clean.
+    text = "e_xd_ev = 1.0\nhw_l_ev = 1.0\ng_sqrt_n_ev = 4e153\nt_ev = 4e153\n" + SMALL
+    cfg = parse_config(text)
     a, _ = line_table(*dressed_states(cfg.emitter(), cfg.drive(), [cfg.delta_ev]), cfg.mu)
-    assert np.isfinite(a).all() and np.abs(a).max() > 1e308
+    assert np.abs(a).max() > 1e154
+    assert_runs_clean(text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace("4e153", "5e153"))
+    assert err.value.problems == [f"line 3: {KERNEL_OVERFLOWS}"]
 
 
 def test_dipole_scale_whose_square_overflows_is_a_config_error():
-    with pytest.raises(ConfigError) as err:
-        parse_config(MINIMAL + "mu = 1e200\n")
-    assert err.value.problems == ["line 5: luminosity scale mu * mu overflows"]
-    assert parse_config(MINIMAL + "mu = 1e154\n").mu == 1e154
+    # mu * mu overflows; mu * mu is finite, but the peak heights lum / f are not, at the default
+    # widths and at narrow ones.
+    for extra in ("mu = 1e200\n", "mu = 1e154\n", "mu = 1e150\ngamma0_ev = 1e-10\ngamma_rad_ev = 1e-10\n"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + extra)
+        assert err.value.problems == [f"line 5: {INTENSITIES_OVERFLOW}"], extra
+    # The largest mu whose peak heights stay finite at the default widths is accepted, and runs clean.
+    assert parse_config(MINIMAL + "mu = 8e151\n").mu == 8e151
+    assert_runs_clean(MINIMAL + SMALL + "mu = 8e151\n")
 
 
 def _readme_config_table():

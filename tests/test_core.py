@@ -164,6 +164,8 @@ def test_delta_from_field_values():
     assert delta_from_field(0.05, 10.0, f_star) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         delta_from_field(0.05, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^field-tuned splitting .* must be finite, got -inf$"):
+        delta_from_field(0.05, 1e308, 1e308)
 
 
 def test_emitter_params_validation():

@@ -153,6 +153,10 @@ class TestLinewidth:
         huge = BroadeningModel(gamma0=1.7e308, a_coef=0.0, gamma_rad=1.7e308)  # Gamma + gamma overflows
         with pytest.raises(ValueError, match="at temperature 0.0 K"):
             line_widths(huge, [0.0])
+        # (Gamma / 2)^2 underflows to 0: the kernel would divide by zero at the centre of a line.
+        tiny = BroadeningModel(gamma0=1e-200, a_coef=0.0, gamma_rad=1e-200)
+        with pytest.raises(ValueError, match=r"^line widths underflow at temperature 0.0 K \(Gamma\(T\) = 1e-200 eV\)$"):
+            line_widths(tiny, [0.0])
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -319,6 +323,23 @@ def test_lorentz_sum_blocks_match_unblocked_kernel(monkeypatch, n_lines, n_width
             assert got_wide.shape == want_wide.shape
             assert np.isfinite(got_wide).all()
             assert got_wide.tobytes() == want_wide.tobytes()
+
+
+def test_lorentz_sum_refuses_overflow_by_name():
+    a, lum, f, x = _lorentz_case(3, 1, 101, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would be an error here
+        # A line 1e200 from the grid: its denominator (x - a)^2 overflows.
+        far = a.copy()
+        far[1, 2] = 1e200
+        with pytest.raises(ValueError, match=r"^Lorentzian denominators overflow: \(x - a\)\^2 \+ f\^2 is not finite"):
+            spectrum.lorentz_sum(far, lum, f, x)
+        # A peak height lum / f that overflows.
+        with pytest.raises(ValueError, match=r"^line intensities overflow: lum / f \* f \* f is not finite$"):
+            spectrum.lorentz_sum(a, lum * 1e305, f, x)
+        # With no grid, only the scales are checked; the terms the kernel sums with come back.
+        scale, f2 = spectrum.lorentz_terms(far, lum, f)
+        assert scale.tobytes() == (lum / f * f * f).tobytes() and f2.tobytes() == np.broadcast_to(f * f, a.shape).tobytes()
 
 
 def test_lorentz_sum_thread_count_is_bounded(monkeypatch):
