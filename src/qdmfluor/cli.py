@@ -2,10 +2,11 @@
 
 Subcommands: spectrum, transitions, branches, map, tempseries, plot.
 Exit codes: 0 success, 1 configuration or input error, 2 I/O error.
-CSV floats use the shortest round-trip decimal form, so re-parsing a file
-reproduces the computed values exactly and repeated runs are byte
-identical.  Tables are formatted a column at a time, and every output is
-written to a temp file beside its target and renamed into place.
+CSV floats are the text repr gives, the shortest round-trip decimal form,
+so re-parsing a file reproduces the computed values exactly and repeated
+runs are byte identical.  Tables are formatted a column at a time, and
+every output is written to a temp file beside its target and renamed into
+place.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import os
 import sys
 from itertools import islice, repeat
@@ -20,8 +22,9 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
+import orjson
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import DEFAULT_TEMPS, ConfigError, RunConfig, parse_config
 from .core import dressed_states
 from .spectrum import CENTRAL, SIDE, line_table, line_widths, lorentz_terms
 from .sweep import BRANCH_LABELS, intensity_map, temperature_series, transition_branches
@@ -39,6 +42,7 @@ BRANCHES_HEADER = ["delta_ev", "i", "j", "delta_prime_ev"]
 MAP_HEADER = ["delta_ev", "delta_prime_ev", "intensity"]
 
 _ROWS_PER_CHUNK = 1024
+_TEXT_PIECE = 1 << 16
 
 
 class _CliError(Exception):
@@ -49,8 +53,22 @@ class _CliError(Exception):
 
 
 def _column(values) -> list[str]:
-    """Text of a float column: repr of a Python float is the shortest string that round-trips."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+    """Text of a float column, cell for cell the repr of each value: the shortest string that round-trips.
+
+    orjson writes the same shortest digits, and inside 1e-4 <= |v| < 1e16 the
+    same notation as repr.  Outside it (zeros, subnormals, NaN and inf among
+    them) the notation differs, e.g. 1e-5 for repr's 1e-05, so those cells
+    are written by repr.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    if not values.size:
+        return []
+    cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)))  # NaN fails both tests
+    for i, value in zip(odd.tolist(), values[odd].tolist()):
+        cells[i] = repr(value)
+    return cells
 
 
 def _csv(header: list[str], blocks: Iterable[tuple[Iterable[str], ...]]) -> Iterator[str]:
@@ -200,21 +218,35 @@ def cmd_tempseries(args: argparse.Namespace) -> int:
 
 def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     """The header fields, and the body as one (rows, fields) float array: one row of finite floats per line."""
+    lines = 0  # the body's lines read so far
+
+    def body(fh, piece: str) -> Iterator[str]:
+        """The body's lines, read in pieces of about _TEXT_PIECE characters that end at a line end.
+
+        Each piece's lines are counted with str.count as it passes.  A piece
+        is split into lines by a StringIO, which holds its text at 4 bytes per
+        character, so the pieces stay small however long the file is.
+        """
+        nonlocal lines
+        while piece:
+            lines += piece.count("\n") + (not piece.endswith("\n"))
+            yield from io.StringIO(piece)
+            piece = fh.read(_TEXT_PIECE) + fh.readline()
+
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
-            body = fh.tell()
-            if fh.readline() in ("", "\n"):  # loadtxt skips a blank line, and warns when it finds no data
+            start = fh.tell()
+            piece = fh.read(_TEXT_PIECE) + fh.readline()
+            if piece[:1] in ("", "\n"):  # loadtxt skips a blank line, and warns when it finds no data
                 raise _CliError(1, f"{path}: schema mismatch: no row on line 2")
-            fh.seek(body)
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            fh.seek(body)
-            if table.shape != (sum(1 for _ in fh), len(header)):  # a blank line, or rows of another length
+            table = np.loadtxt(body(fh, piece), delimiter=",", comments=None, ndmin=2)
+            if table.shape != (lines, len(header)):  # a blank line, or rows of another length
                 raise _CliError(1, f"{path}: schema mismatch: need one row of {len(header)} fields on every line")
             finite = np.isfinite(table)
             if not finite.all():
                 row, col = np.unravel_index(np.argmin(finite), table.shape)
-                fh.seek(body)
+                fh.seek(start)
                 text = next(islice(fh, row, None)).rstrip("\n").split(",")[col]
                 raise _CliError(1, f"{path}: line {row + 2}: non-finite value {text!r}")
     except OSError as exc:
@@ -306,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("tempseries", help="one spectrum per temperature")
     _add_common(p, delta=True, workers=True)
-    p.add_argument("--temps", default="5,20,40", help="comma-separated temperatures in K")
+    p.add_argument("--temps", default=",".join(f"{t:g}" for t in DEFAULT_TEMPS), help="comma-separated temperatures in K")
     p.set_defaults(func=cmd_tempseries)
 
     p = add("plot", help="render a CSV table as an SVG chart")

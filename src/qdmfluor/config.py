@@ -21,12 +21,15 @@ from .core import DriveParams, EmitterParams, delta_from_field, dressed_states
 from .spectrum import BroadeningModel, GridSpec, line_table, line_widths, lorentz_terms
 from .sweep import SweepRange
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "DEFAULTS", "REQUIRED_KEYS"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "DEFAULTS", "DEFAULT_TEMPS", "REQUIRED_KEYS"]
 
 # Largest npoints * sweep_steps a config may ask for: one (sweep_steps,
 # npoints) float64 map buffer is then at most 134 MB.  The defaults ask for
 # 241 * 7001 = 1.69M cells.
 MAX_CELLS = 2**24
+
+# The temperatures (K) of `tempseries` without --temps; parse_config checks the line widths at them too.
+DEFAULT_TEMPS = (5.0, 20.0, 40.0)
 
 # One-key rules: a test of the value and the end of the message "<key> ...".
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
@@ -246,7 +249,8 @@ def parse_config(text: str) -> RunConfig:
     # problem, on the line of a key the stage reads.  The extremes bound every row a command
     # computes: the dressed-energy spread is convex in the splitting, so the sweep's ends bound its
     # rows; the lines come in +- pairs, so the grid's ends bound every denominator; and each
-    # luminosity is at most mu * mu, which bounds every peak height.
+    # luminosity is at most mu * mu, which bounds every peak height.  The widths are those at
+    # temp_k and at tempseries' default temperatures, each checked against every splitting.
     def stage(keys, compute):
         try:
             return compute()
@@ -255,7 +259,7 @@ def parse_config(text: str) -> RunConfig:
 
     emitter = stage(["field_kv_per_cm"], cfg.emitter)
     built = emitter, stage(["dp_min_ev", "dp_max_ev"], cfg.grid), stage(["sweep_lo", "sweep_hi"], cfg.delta_range)
-    f = stage(_WIDTH_KEYS, lambda: line_widths(cfg.broadening(), [cfg.temp_k]))
+    f = stage(_WIDTH_KEYS, lambda: line_widths(cfg.broadening(), [cfg.temp_k, *DEFAULT_TEMPS]))
     widths = 1.0 if f is None else f  # widths that overflow are reported above; unit widths check the rest
     if None not in built:
         # The lines and their denominators name the set key of the largest magnitude they read (ties: the first).
@@ -268,7 +272,7 @@ def parse_config(text: str) -> RunConfig:
         # The positions at unit mu: mu only scales the luminosities, whose bound is checked below.
         table = stage(largest, lambda: line_table(*dressed_states(emitter, cfg.drive(), splittings), 1.0))
         if table is not None:
-            stage(largest, lambda: lorentz_terms(table[0], 0.0, widths, (cfg.dp_min_ev, cfg.dp_max_ev)))
+            stage(largest, lambda: lorentz_terms(table[0][:, None], 0.0, widths, (cfg.dp_min_ev, cfg.dp_max_ev)))
     stage(["mu", *_WIDTH_KEYS], lambda: lorentz_terms(0.0, cfg.mu * cfg.mu, widths))
     if problems:
         raise ConfigError(problems)

@@ -15,6 +15,7 @@ energies are of order n * hw_l).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,8 @@ class DriveParams:
             raise ValueError(f"photon number n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"photon number n must be >= 1, got {self.n}")
+        if self.n > sys.float_info.max:  # g_sqrt_n takes the sqrt of float(n)
+            raise ValueError("photon number n is too large to convert to a float")
         _require_finite("g", self.g)
         _require_finite("hw_l", self.hw_l)
         if self.g < 0.0:

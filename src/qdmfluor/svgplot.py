@@ -182,13 +182,14 @@ def line_chart(
 
     parts: list[str] = []
     body: list[str] = []
-    px = frame.x(x).tolist()
+    # Same format as _fmt, applied to whole pixel columns.  The x column, shared by every series, is
+    # formatted once into a template whose %.2f fields (the same text as {:.2f}) take each series' y.
+    points_of = " ".join(map("{:.2f},%.2f".format, frame.x(x).tolist()))
     for idx, (label, y) in enumerate(series):
         y = np.asarray(y, dtype=float)
         if y.shape != x.shape:
             raise ValueError(f"series {label!r} length does not match x")
-        # Same format as _fmt, applied to whole pixel columns.
-        points = " ".join(map("{:.2f},{:.2f}".format, px, frame.y(y).tolist()))
+        points = points_of % tuple(frame.y(y).tolist())
         color = _PALETTE[idx % len(_PALETTE)]
         body.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         if len(series) > 1 and label:

@@ -165,6 +165,39 @@ def test_written_csv_reparses_to_the_same_floats(tmp_path_factory, columns):
     assert table.tobytes() == np.array(columns, dtype=float).T.tobytes()
 
 
+@pytest.mark.parametrize("piece", [1, 7, 64])
+def test_read_table_rows_do_not_depend_on_text_pieces(tmp_path, monkeypatch, piece):
+    # plot's reader parses the body a piece at a time; the pieces end at line ends.
+    monkeypatch.setattr(cli, "_TEXT_PIECE", piece)
+    rows = np.linspace(-1.0, 1.0, 40).reshape(20, 2)
+    path = tmp_path / "t.csv"
+    path.write_text("delta_prime_ev,intensity\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows.tolist()))
+    header, table = cli._read_table(path)
+    assert header == cli.SPECTRUM_HEADER and table.tobytes() == rows.tobytes()
+    path.write_text(path.read_text() + "0.5,nan")  # a last line with no newline
+    with pytest.raises(cli._CliError, match="line 22: non-finite value 'nan'"):
+        cli._read_table(path)
+
+
+_READ_ONLY_MAP = np.linspace(-0.35, 0.35, 12).reshape(3, 4)
+_READ_ONLY_MAP.setflags(write=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(), max_size=64))
+# Zeros, the smallest subnormal, and both sides of the low end of orjson's notation range.
+@example(values=[0.0, -0.0, 5e-324, -5e-324, np.nextafter(1e-4, -np.inf), 1e-4, np.nextafter(1e-4, np.inf), -1e-4])
+# The high end: 1e16 and its neighbours (the one below is 9999999999999998.0), and the largest float.
+@example(values=[np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, np.inf), 9999999999999998.0, 1.7976931348623157e308])
+@example(values=[math.nan, math.inf, -math.inf, -1.7976931348623157e308])
+@example(values=np.array([]))
+@example(values=np.linspace(-1.0, 1.0, 11)[::2])
+@example(values=_READ_ONLY_MAP[1])
+@example(values=np.array([0.1, 1e-5, 3.4e38, 1e-45, np.nan], dtype=np.float32))
+def test_column_is_repr_of_each_value(values):
+    assert cli._column(values) == list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
 def test_spectrum_roundtrip_and_exit_code(cfg_path, tmp_path):
     out = tmp_path / "spectrum.csv"
     assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 0

@@ -188,6 +188,9 @@ def test_drive_params_validation():
         DriveParams(n=1, g=-0.1, hw_l=1.0)
     with pytest.raises(ValueError):
         DriveParams(n=1, g=0.1, hw_l=0.0)
+    # An n past the largest float has no float sqrt: refused as a ValueError, not an OverflowError.
+    with pytest.raises(ValueError, match="photon number n"):
+        DriveParams(n=10**400, g=1e-300, hw_l=1.0)
     assert DriveParams(n=100, g=0.01, hw_l=1.0).g_sqrt_n == pytest.approx(0.1, rel=1e-15)
 
 

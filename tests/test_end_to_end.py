@@ -28,7 +28,7 @@ _FLAGS = {
     "tempseries": ("temps", "delta"),
 }
 # A config is refused by parse_config, with a line; a flag value only when the run meets it.
-# tempseries always reads --temps, whose default 5,20,40 parse_config does not see.
+# tempseries without --temps runs at DEFAULT_TEMPS, which parse_config checks, so only a passed flag may be refused by name.
 _CONFIG_REFUSED = re.compile(r"qdmfluor: config error: line \d+: ")
 _FLAG_REFUSED = re.compile(r"qdmfluor: invalid parameters: ")
 
@@ -74,8 +74,7 @@ def _assert_clean_or_refused(text: str, flags: dict) -> None:
             code, err = run_cli([command, "--config", str(cfg), "--out", str(out_dir / f"{command}.csv"), *flag_args])
             written = sorted(out_dir.iterdir())
             if code == 1:
-                reads_flags = bool(flag_args) or command == "tempseries"
-                assert _CONFIG_REFUSED.match(err) or (reads_flags and _FLAG_REFUSED.match(err)), (command, flag_args, err)
+                assert _CONFIG_REFUSED.match(err) or (flag_args and _FLAG_REFUSED.match(err)), (command, flag_args, err)
                 assert "Traceback" not in err, (command, err)
                 assert written == [], command
                 continue
@@ -110,6 +109,8 @@ _NO_FLAGS = {"temp": None, "temps": None, "delta": None}
 @example(text=_BASE + "dp_min_ev = -8e307\ndp_max_ev = 8e307\nfield_kv_per_cm = 1e308\nd_nm = 1\n", flags=_NO_FLAGS)
 @example(text=_BASE.replace("0.1", "4e307"), flags=_NO_FLAGS)
 @example(text=_BASE.replace("g_sqrt_n_ev = 0.1", "n = 4\ng_ev = 4e307"), flags=_NO_FLAGS)
+# Widths that overflow only at tempseries' default temperatures: tempseries named no line.
+@example(text=_BASE + "b_ev = 1e200\n", flags=_NO_FLAGS)
 # Widths whose squares underflow to 0: a division by zero at the centre of a line on the grid.
 @example(text=_BASE + "gamma0_ev = 1e-200\ngamma_rad_ev = 1e-200\ndp_min_ev = -1\ndp_max_ev = 1\n", flags=_NO_FLAGS)
 def test_every_command_runs_clean_or_refuses_by_line_or_name(text, flags):
