@@ -43,6 +43,8 @@ MAP_HEADER = ["delta_ev", "delta_prime_ev", "intensity"]
 
 _ROWS_PER_CHUNK = 1024
 _TEXT_PIECE = 1 << 16
+_MAX_CELL = 32  # the longest cell orjson parses for plot: it misrounds some far longer decimals
+_NUMBER_BYTES = b"0123456789.eE+-"
 
 
 class _CliError(Exception):
@@ -216,11 +218,68 @@ def cmd_tempseries(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
-    """The header fields, and the body as one (rows, fields) float array: one row of finite floats per line."""
+def _body_rows(piece: bytes, fields: int) -> np.ndarray | None:
+    """The rows of a piece of body lines, parsed by orjson, or None unless the piece is plainly well formed.
+
+    Well formed: the piece ends in a newline, holds only number bytes, commas
+    and newlines, and every line has exactly `fields` cells of 1 to
+    _MAX_CELL bytes.  Such a piece joined into one JSON array has one
+    element per cell.  orjson refuses the spellings JSON does not allow
+    (+1, .5, 1., 01) and rounds as float() does up to the cell length the
+    guard allows.  It reads the integer -0 as +0, so a piece holding that
+    cell is left to loadtxt.  orjson 3.8 refuses a number that overflows; a
+    release that read it as inf would leave the piece to loadtxt too.
+    """
+    # What is left of the piece without its number bytes: a comma between cells, a newline after each line.
+    seps = piece.translate(None, _NUMBER_BYTES)
+    if not piece.endswith(b"\n") or seps != (b"," * (fields - 1) + b"\n") * (len(seps) // fields):
+        return None
+    cells = b"," + piece.replace(b"\n", b",")  # every cell between two commas
+    codes = np.frombuffer(cells, np.uint8)
+    commas = np.flatnonzero(codes == ord(","))
+    widths = np.diff(commas) - 1
+    if widths.min() < 1 or widths.max() > _MAX_CELL:
+        return None
+    pairs = commas[1:][widths == 2]
+    if ((codes[pairs - 2] == ord("-")) & (codes[pairs - 1] == ord("0"))).any():
+        return None
+    try:
+        values = orjson.loads(b"[" + cells[1:-1] + b"]")
+    except orjson.JSONDecodeError:
+        return None
+    rows = np.fromiter(values, float, len(values)).reshape(-1, fields)
+    return rows if np.isfinite(rows).all() else None
+
+
+def _read_plain_table(fh) -> tuple[list[str], np.ndarray] | None:
+    """The table of a binary file whose header is ASCII and whose every body piece _body_rows parses, else None.
+
+    The body's lines are counted first, so the rows are parsed into one
+    array of their final size, not gathered and then copied.
+    """
+    header = fh.readline()
+    if not (header.endswith(b"\n") and header.isascii()) or b"\r" in header:
+        return None
+    start = fh.tell()
+    chunks = iter(lambda: fh.read(_TEXT_PIECE), b"")
+    lines = sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) for chunk in chunks)
+    table = np.empty((lines, header.count(b",") + 1))
+    fh.seek(start)
+    done = 0
+    while piece := fh.read(_TEXT_PIECE) + fh.readline():
+        rows = _body_rows(piece, table.shape[1])
+        if rows is None:
+            return None
+        table[done : done + len(rows)] = rows
+        done += len(rows)
+    return (header[:-1].decode().split(","), table) if done else None
+
+
+def _load_table(fh, path: Path) -> tuple[list[str], np.ndarray]:
+    """The header fields and body of a text file by numpy.loadtxt, which words every refusal."""
     lines = 0  # the body's lines read so far
 
-    def body(fh, piece: str) -> Iterator[str]:
+    def body(piece: str) -> Iterator[str]:
         """The body's lines, read in pieces of about _TEXT_PIECE characters that end at a line end.
 
         Each piece's lines are counted with str.count as it passes.  A piece
@@ -233,27 +292,44 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
             yield from io.StringIO(piece)
             piece = fh.read(_TEXT_PIECE) + fh.readline()
 
+    header = fh.readline().rstrip("\n").split(",")
+    start = fh.tell()
+    piece = fh.read(_TEXT_PIECE) + fh.readline()
+    if piece[:1] in ("", "\n"):  # loadtxt skips a blank line, and warns when it finds no data
+        raise _CliError(1, f"{path}: schema mismatch: no row on line 2")
+    table = np.loadtxt(body(piece), delimiter=",", comments=None, ndmin=2)
+    if table.shape != (lines, len(header)):  # a blank line, or rows of another length
+        raise _CliError(1, f"{path}: schema mismatch: need one row of {len(header)} fields on every line")
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.unravel_index(np.argmin(finite), table.shape)
+        fh.seek(start)
+        text = next(islice(fh, row, None)).rstrip("\n").split(",")[col]
+        raise _CliError(1, f"{path}: line {row + 2}: non-finite value {text!r}")
+    return header, table
+
+
+def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
+    """The header fields, and the body as one (rows, fields) float array: one row of finite floats per line.
+
+    A plainly well-formed file is parsed by orjson (_read_plain_table).  Any
+    other is read again from its start, through the same handle, by
+    numpy.loadtxt (_load_table), which gives the same values and words every
+    refusal.  Both reads need a seekable file, so a pipe is refused.
+    """
     try:
-        with open(path) as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            start = fh.tell()
-            piece = fh.read(_TEXT_PIECE) + fh.readline()
-            if piece[:1] in ("", "\n"):  # loadtxt skips a blank line, and warns when it finds no data
-                raise _CliError(1, f"{path}: schema mismatch: no row on line 2")
-            table = np.loadtxt(body(fh, piece), delimiter=",", comments=None, ndmin=2)
-            if table.shape != (lines, len(header)):  # a blank line, or rows of another length
-                raise _CliError(1, f"{path}: schema mismatch: need one row of {len(header)} fields on every line")
-            finite = np.isfinite(table)
-            if not finite.all():
-                row, col = np.unravel_index(np.argmin(finite), table.shape)
-                fh.seek(start)
-                text = next(islice(fh, row, None)).rstrip("\n").split(",")[col]
-                raise _CliError(1, f"{path}: line {row + 2}: non-finite value {text!r}")
+        with open(path, "rb") as fh:
+            if not fh.seekable():
+                raise io.UnsupportedOperation("underlying stream is not seekable")
+            if plain := _read_plain_table(fh):
+                return plain
+            fh.seek(0)
+            with io.TextIOWrapper(fh) as text:
+                return _load_table(text, path)
     except OSError as exc:
         raise _CliError(2, f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise _CliError(1, f"{path}: schema mismatch: {exc}") from exc
-    return header, table
 
 
 def cmd_plot(args: argparse.Namespace) -> int:

@@ -69,6 +69,32 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+# The text of _fmt for 0 <= v < 1000, cut at the point: the whole part, then the cents.
+_WHOLES = np.array([str(k) for k in range(1000)], dtype=object)
+_CENTS = np.array([f".{k:02d}" for k in range(100)], dtype=object)
+
+
+def _fmt_pieces(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text of _fmt for each value as two object arrays, whole part and rest: whole + rest == _fmt(v).
+
+    Most pixels are in [0, 1000), where q = rint(v * 100) gives the cents:
+    v * 100 is within 1e-11 of the exact product there, so q rounds as the
+    exact decimal does unless v is within 1e-6 of a half-cent.  Those
+    values, and negatives (-0.0 included), NaN and values whose cents reach
+    1000.00, are written by _fmt whole.
+    """
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cents = values * 100.0
+        q = np.rint(cents)
+        table = ~np.signbit(values) & (q < 100000.0) & (np.abs(cents - np.floor(cents) - 0.5) > 1e-4)
+    q = np.where(table, q, 0.0).astype(np.intp)
+    whole, rest = _WHOLES[q // 100], _CENTS[q % 100]
+    for i in np.flatnonzero(~table).tolist():
+        whole[i], rest[i] = _fmt(values[i]), ""
+    return whole, rest
+
+
 def _fmt_tick(value: float) -> str:
     return f"{value:g}"
 
@@ -182,14 +208,17 @@ def line_chart(
 
     parts: list[str] = []
     body: list[str] = []
-    # Same format as _fmt, applied to whole pixel columns.  The x column, shared by every series, is
-    # formatted once into a template whose %.2f fields (the same text as {:.2f}) take each series' y.
-    points_of = " ".join(map("{:.2f},%.2f".format, frame.x(x).tolist()))
+    # The points as one row of tokens each, "x" ".xx" "," "y" ".yy" " ": the x columns, shared by
+    # every series, are filled once, and each series fills its y columns.
+    tokens = np.empty((x.size, 6), dtype=object)
+    tokens[:, 0], tokens[:, 1] = _fmt_pieces(frame.x(x))
+    tokens[:, 2], tokens[:, 5], tokens[-1, 5] = ",", " ", ""
     for idx, (label, y) in enumerate(series):
         y = np.asarray(y, dtype=float)
         if y.shape != x.shape:
             raise ValueError(f"series {label!r} length does not match x")
-        points = points_of % tuple(frame.y(y).tolist())
+        tokens[:, 3], tokens[:, 4] = _fmt_pieces(frame.y(y))
+        points = "".join(tokens.ravel().tolist())
         color = _PALETTE[idx % len(_PALETTE)]
         body.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         if len(series) > 1 and label:

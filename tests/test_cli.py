@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import decimal
 import io
 import math
 import os
 import stat
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,18 +167,109 @@ def test_written_csv_reparses_to_the_same_floats(tmp_path_factory, columns):
     assert table.tobytes() == np.array(columns, dtype=float).T.tobytes()
 
 
+def _read_outcome(path):
+    """What plot's reader gives for a file: the header and table bits, or the error's exit code and message."""
+    try:
+        header, table = cli._read_table(path)
+    except cli._CliError as exc:
+        return exc.code, exc.message
+    return header, table.shape, table.tobytes()
+
+
+def _loadtxt_outcome(path):
+    """_read_outcome with the orjson path left out, so numpy.loadtxt reads every file."""
+    with mock.patch.object(cli, "_read_plain_table", lambda fh: None):
+        return _read_outcome(path)
+
+
 @pytest.mark.parametrize("piece", [1, 7, 64])
 def test_read_table_rows_do_not_depend_on_text_pieces(tmp_path, monkeypatch, piece):
     # plot's reader parses the body a piece at a time; the pieces end at line ends.
     monkeypatch.setattr(cli, "_TEXT_PIECE", piece)
     rows = np.linspace(-1.0, 1.0, 40).reshape(20, 2)
     path = tmp_path / "t.csv"
-    path.write_text("delta_prime_ev,intensity\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows.tolist()))
+    text = "delta_prime_ev,intensity\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows.tolist())
+    path.write_text(text)
     header, table = cli._read_table(path)
     assert header == cli.SPECTRUM_HEADER and table.tobytes() == rows.tobytes()
-    path.write_text(path.read_text() + "0.5,nan")  # a last line with no newline
+    assert _read_outcome(path) == _loadtxt_outcome(path)
+    # Spellings only loadtxt reads, after pieces orjson has parsed: the whole file is read again.
+    path.write_bytes(text.encode() + b"+1,.5\r\n01,1.\n")
+    header, table = cli._read_table(path)
+    assert table.tobytes() == np.vstack([rows, [[1.0, 0.5], [1.0, 1.0]]]).tobytes()
+    assert _read_outcome(path) == _loadtxt_outcome(path)
+    path.write_text(text + "0.5,nan")  # a last line with no newline
     with pytest.raises(cli._CliError, match="line 22: non-finite value 'nan'"):
         cli._read_table(path)
+
+
+def _halfway(value, digits):
+    """The exact decimal halfway between value and the next float up, written with `digits` significant digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        return format((decimal.Decimal(value) + decimal.Decimal(np.nextafter(value, np.inf))) / 2, f".{digits - 1}e")
+
+
+# The spellings the table commands write, and of integers; then spellings only loadtxt reads, or neither does.
+_PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.24e}"),
+    st.integers(-(10**31), 10**31).map(str),
+)
+_ODD_CELLS = st.sampled_from(["-0", "+1", ".5", "1.", "01", "-00", "1e5", "1E+05", "1e-400", "-1e-400", "1e400",
+                              "nan", "-inf", "", " 1", "1_0", "0x1", "1e", "--1", "\u00e9", "1" * 33])
+
+
+@st.composite
+def _tables(draw):
+    """(fields, lines): rows of cells and their line ends, plain in about half the tables."""
+    fields = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        row, end = st.lists(_PLAIN_CELLS, min_size=fields, max_size=fields), st.just("\n")
+    else:
+        cell = st.one_of(_PLAIN_CELLS, _ODD_CELLS)
+        row = st.one_of(st.lists(cell, min_size=fields, max_size=fields), st.lists(cell, min_size=1, max_size=4))
+        end = st.sampled_from(["\n", "\n", "\r\n", "\r", "\n\n"])
+    return fields, draw(st.lists(st.tuples(row, end), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables(), last_newline=st.booleans(), piece=st.sampled_from([1, 7, 64, 1 << 16]))
+@example(table=(2, [(["0.25", "0.5"], "\n"), (["0.5", "0.75"], "\n")]), last_newline=False, piece=1 << 16)
+# orjson rounds this exact halfway decimal away from the even neighbour; loadtxt does not.
+@example(table=(1, [([_halfway(5.070266582975182e-286, 780)], "\n")]), last_newline=True, piece=1 << 16)
+@example(table=(2, [(["0.1", "0." + "1" * 31], "\n")]), last_newline=True, piece=1 << 16)  # a 33-byte cell
+@example(table=(2, [(["0.1", ""], "\n"), (["", "1.0"], "\n")]), last_newline=True, piece=1 << 16)
+@example(table=(2, [(["+1", ".5"], "\n")]), last_newline=True, piece=1 << 16)
+@example(table=(2, [(["1.0", "2.0"], "\r\n"), (["3.0", "4.0"], "\r\n")]), last_newline=True, piece=1 << 16)
+@example(table=(2, [(["1", "2", "3"], "\n"), (["4"], "\n")]), last_newline=True, piece=1 << 16)
+@example(table=(2, [(["-0", "-0.0"], "\n"), (["1e-0", "-1e-400"], "\n")]), last_newline=True, piece=7)
+@example(table=(2, [(["0.5", "1.5"], "\n")] * 6 + [(["1.0", "nan"], "\n")]), last_newline=True, piece=1)
+@example(table=(3, [(["0.0", "-0.1", "1.0"], "\n")] * 9 + [(["0.01", "-0.1", "1e999"], "\n")]), last_newline=True, piece=64)
+def test_read_table_matches_loadtxt_reader(tmp_path_factory, table, last_newline, piece):
+    # orjson reads what it can parse exactly; every other file gives loadtxt's values, or its code and message.
+    fields, lines = table
+    body = "".join(",".join(cells) + end for cells, end in lines)
+    if not last_newline:
+        body = body.rstrip("\r\n")
+    path = tmp_path_factory.mktemp("read") / "t.csv"
+    path.write_bytes(",".join(f"c{k}" for k in range(fields)).encode() + b"\n" + body.encode())
+    with mock.patch.object(cli, "_TEXT_PIECE", piece):
+        assert _read_outcome(path) == _loadtxt_outcome(path)
+
+
+def test_read_table_of_a_pipe_exit_2(tmp_path, capsys):
+    # plot reads a file more than once (to count its lines, then to parse it), so a pipe is refused.
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"delta_prime_ev,intensity\n0.0,1.0\n1.0,2.0\n")
+        os.close(write_end)
+        svg = tmp_path / "pipe.svg"
+        assert main(["plot", f"/dev/fd/{read_end}", "--kind", "line", "--out", str(svg)]) == 2
+    finally:
+        os.close(read_end)
+    assert "cannot read" in capsys.readouterr().err
+    assert not svg.exists()
 
 
 _READ_ONLY_MAP = np.linspace(-0.35, 0.35, 12).reshape(3, 4)

@@ -99,6 +99,23 @@ def test_heatmap_color_ramp_monotone_anchors():
     assert mid == "#21918c"  # the middle stop, (33, 145, 140)
 
 
+def _neighbours(value):
+    return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+
+
+@settings(max_examples=300, deadline=None)
+# Any float, pixels in the digit table's range, and multiples of a half-cent: the ties and near-ties.
+@given(values=st.lists(st.one_of(st.floats(), st.floats(0.0, 1000.0), st.integers(0, 200000).map(lambda k: k / 200)), max_size=32))
+@example(values=[-0.0, -0.001, 0.0, 5e-324, -5e-324])
+# Exact ties at a half-cent, which round to even, and the floats either side of them.
+@example(values=_neighbours(40.125) + _neighbours(40.375) + _neighbours(0.005) + _neighbours(0.125))
+# The top of the digit table: 999.995 rounds to 1000.00.
+@example(values=_neighbours(999.995) + _neighbours(999.99) + _neighbours(1000.0) + [1e308, math.inf, -math.inf, math.nan])
+def test_fmt_pieces_join_to_fmt(values):
+    whole, rest = svgplot._fmt_pieces(np.array(values, dtype=float))
+    assert [w + r for w, r in zip(whole, rest)] == [svgplot._fmt(v) for v in values]
+
+
 def test_pool_max_exact_on_small_grid():
     values = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
     pooled = svgplot._pool_max(values, max_rows=1, max_cols=2)
