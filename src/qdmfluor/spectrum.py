@@ -287,6 +287,38 @@ def lorentz_terms(a, lum, f, x_ends=()) -> tuple[np.ndarray, np.ndarray]:
     return scale, f2
 
 
+def _run_shares(run, n_rows: int, n_threads: int) -> None:
+    """Call run(share, first, last) on n_threads even shares of rows 0..n_rows.
+
+    Share 0 runs on the caller's thread, in the caller's context.  Every
+    other share runs on a thread of its own, in a copy of the caller's
+    context, so np.errstate carries over.  Every started thread is joined,
+    also when a share raises; then the first error is raised: the caller's
+    share's, else the earliest a thread reported.
+    """
+    bounds = [n_rows * i // n_threads for i in range(n_threads + 1)]  # share i is rows bounds[i]:bounds[i + 1]
+    errors: list[Exception] = []
+
+    def run_in_thread(share: int) -> None:
+        try:
+            run(share, bounds[share], bounds[share + 1])
+        except Exception as exc:  # handed to the caller after the join
+            errors.append(exc)
+
+    started = []
+    try:
+        for share in range(1, n_threads):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run_in_thread, share))
+            thread.start()
+            started.append(thread)
+        run(0, bounds[0], bounds[1])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, workers: int | None = None) -> np.ndarray:
     """Row r of the result is the sum over lines k of the Lorentzians on x.
 
@@ -300,10 +332,16 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
     row has its denominator computed once per call.  The rows split into
     even shares for min(blocks, os.cpu_count()) threads, at most workers
     (an int >= 1; None sets no cap) of them, each summing its share in its
-    own scratch block.  The footprint is the result, one block per thread
-    and at most half a block per shared line.  Every cell gets the same
-    operations in the same order, so the result does not depend on the
-    block size or on workers.
+    own scratch block (_run_shares; the caller's thread sums the first).
+    Each thread sums with numpy's ufunc buffer cut to
+    min(np.getbufsize(), max(16, x.size // 16 * 16)): a buffer no longer
+    than a row spares the copies that pack several short rows into it when
+    an operand is a broadcast column, and rows of 8192 points or more keep
+    the default.  The caller's buffer size comes back on return or raise.
+    The footprint is the result, one block per thread and at most half a
+    block per shared line.  Every cell gets the same operations in the same
+    order, so the result does not depend on the block size, on workers or
+    on the buffer size.
     """
     if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
         raise ValueError(f"workers must be an integer >= 1 or None, got {workers!r}")
@@ -322,47 +360,29 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
         np.add(shared_dens, f2[0, shared, None], out=shared_dens)
         dens = dict(zip(shared.tolist(), shared_dens))
     n_threads = min(-(-n_rows // rows), os.cpu_count() or 1, workers or n_rows)
-    shares = [n_rows * i // n_threads for i in range(n_threads + 1)]  # thread i sums rows shares[i]:shares[i + 1]
     bufs = np.empty((n_threads, min(rows, n_rows), x.size))  # one scratch block per thread
 
-    def run(first: int, last: int, buf: np.ndarray) -> None:
-        for lo in range(first, last, rows):
-            hi = min(lo + rows, last)
-            term, out = buf[: hi - lo], y[lo:hi]
-            for k in range(a.shape[1]):
-                den = dens.get(k)
-                if den is None:
-                    np.subtract(x, a[lo:hi, k, None], out=term)
-                    np.square(term, out=term)
-                    np.add(term, f2[lo:hi, k, None], out=term)
-                    den = term
-                np.divide(scale[lo:hi, k, None], den, out=term)
-                term[lum[lo:hi, k] == 0.0] = 0.0  # a dark line adds exactly nothing, even where its term is 0/0
-                out += term
-
-    errors: list[Exception] = []
-
-    def run_in_thread(first: int, last: int, buf: np.ndarray) -> None:
+    def run(share: int, first: int, last: int) -> None:
+        # Put back on every thread: the size is per thread (numpy 1.x) or per context (2.x).
+        old = np.setbufsize(min(np.getbufsize(), max(16, x.size // 16 * 16)))
         try:
-            run(first, last, buf)
-        except Exception as exc:  # handed to the caller after the join
-            errors.append(exc)
+            for lo in range(first, last, rows):
+                hi = min(lo + rows, last)
+                term, out = bufs[share, : hi - lo], y[lo:hi]
+                for k in range(a.shape[1]):
+                    den = dens.get(k)
+                    if den is None:
+                        np.subtract(x, a[lo:hi, k, None], out=term)
+                        np.square(term, out=term)
+                        np.add(term, f2[lo:hi, k, None], out=term)
+                        den = term
+                    np.divide(scale[lo:hi, k, None], den, out=term)
+                    term[lum[lo:hi, k] == 0.0] = 0.0  # a dark line adds exactly nothing, even where its term is 0/0
+                    out += term
+        finally:
+            np.setbufsize(old)
 
-    # Shares are disjoint and numpy releases the GIL; each thread runs in a
-    # copy of the caller's context, so np.errstate carries over.
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(run_in_thread, shares[i], shares[i + 1], bufs[i]))
-        for i in range(1, n_threads)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        run(shares[0], shares[1], bufs[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    _run_shares(run, n_rows, n_threads)  # shares are disjoint, and numpy releases the GIL
     return y
 
 

@@ -5,9 +5,12 @@ A sweep is evaluated as arrays in one pass: one stacked eigensolve over all
 splittings (:func:`core.dressed_states`), one (N, 9) line table
 (:func:`spectrum.line_table`) and one broadcast Lorentzian sum
 (:func:`spectrum.lorentz_sum`), whose row blocks run on up to one thread
-per CPU, ``workers`` capping the count.  Row r of every result equals the
-standalone per-triplet computation at that row's splitting or temperature,
-to the last bit, whatever ``workers`` is.
+per CPU, ``workers`` capping the count.  The eigensolve and the line table
+run on even shares of the splittings, one thread per CPU at most and
+_SOLVE_SHARE_ROWS splittings per share at least; ``workers`` does not cap
+them.  Row r of every result equals the standalone per-triplet computation
+at that row's splitting or temperature, to the last bit, whatever
+``workers`` or the thread count is: each matrix is solved on its own.
 
 One sweep is solved once: the energies and the line table of the last
 sweep solved are kept, keyed on the exact bits of its matrix stack and on
@@ -19,13 +22,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .core import DriveParams, EmitterParams, _eigensystems, _reduced_matrices
-from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, lorentz_sum
+from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, _run_shares, line_table, line_widths, lorentz_sum
 
 # perfbench/layers.py wraps these per-triplet names in this namespace; the sweeps do not call them.
 from .core import diagonalize, reduced_hamiltonian  # noqa: F401
@@ -41,6 +45,11 @@ __all__ = [
     "temperature_series",
     "intensity_map",
 ]
+
+# Fewest rows in a solve share.  On 2 vCPUs, _solve of 2 x 384 rows took 4.2 ms on one
+# thread or two, 2 x 512 rows 5.0 -> 4.7 ms, and 2001 rows 11.2 -> 9.7 ms (medians of 300).
+_SOLVE_SHARE_ROWS = 512
+
 
 @dataclass(frozen=True)
 class SweepRange:
@@ -140,8 +149,16 @@ def _solved(
 
 @functools.lru_cache(maxsize=1, typed=True)  # typed: a float32 mu equal to a float one squares in float32
 def _solve(m_bytes: bytes, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    energies, coeffs = _eigensystems(np.frombuffer(m_bytes).reshape(-1, 3, 3))
-    a, lum = line_table(energies, coeffs, mu)
+    m = np.frombuffer(m_bytes).reshape(-1, 3, 3)
+    n = m.shape[0]
+    energies, a, lum = np.empty((n, 3)), np.empty((n, 9)), np.empty((n, 9))
+
+    def run(share: int, first: int, last: int) -> None:
+        energies[first:last], coeffs = _eigensystems(m[first:last])
+        a[first:last], lum[first:last] = line_table(energies[first:last], coeffs, mu)
+
+    shares = n // _SOLVE_SHARE_ROWS
+    _run_shares(run, n, min(shares, os.cpu_count() or 1) if shares > 1 else 1)
     # An array over bytes can never be made writeable again, so no caller can change a kept result.
     return tuple(np.frombuffer(arr.tobytes()).reshape(arr.shape) for arr in (energies, a, lum))
 

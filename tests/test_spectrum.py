@@ -393,6 +393,45 @@ def test_lorentz_sum_raises_what_a_thread_raises(monkeypatch):
         spectrum.lorentz_sum(a, lum, f, x, workers=2)
 
 
+@pytest.mark.parametrize("bufsize", [16, None, 1 << 16])  # None: numpy's default
+def test_lorentz_sum_keeps_the_callers_buffer_and_error_state(monkeypatch, bufsize):
+    count_thread_starts(monkeypatch)
+    a, lum, f, x = _lorentz_case(2 * _ROWS + 7, 1, 401, seed=8)
+    want = _unblocked_lorentz_sum(a, lum, f, x)
+    old = np.getbufsize()
+    try:
+        with np.errstate(divide="ignore", over="raise"):  # not numpy's defaults
+            if bufsize is not None:
+                np.setbufsize(bufsize)
+            caller = np.getbufsize(), np.geterr()
+            assert spectrum.lorentz_sum(a, lum, f, x, workers=2).tobytes() == want.tobytes()
+            assert (np.getbufsize(), np.geterr()) == caller
+            with pytest.raises(ValueError, match="^line intensities overflow"):
+                spectrum.lorentz_sum(a, lum * 1e305, f, x, workers=2)
+            assert (np.getbufsize(), np.geterr()) == caller
+            for row in (0, -1):  # a dark 0/0 in the caller's share, then in the other thread's
+                bad_a, bad_lum, bad_f = a.copy(), lum.copy(), f.copy()
+                bad_a[row, 2], bad_lum[row, 2], bad_f[0, 2] = x[9], 0.0, 1e-200
+                with np.errstate(invalid="raise"):
+                    inner = np.getbufsize(), np.geterr()
+                    with pytest.raises(FloatingPointError):
+                        spectrum.lorentz_sum(bad_a, bad_lum, bad_f, x, workers=2)
+                    assert (np.getbufsize(), np.geterr()) == inner
+            assert (np.getbufsize(), np.geterr()) == caller
+    finally:
+        np.setbufsize(old)
+
+
+@pytest.mark.parametrize("grid, bufsize", [(10, 16), (401, 400), (7001, 6992), (9000, 8192)])
+def test_lorentz_sum_buffer_is_at_most_a_row(monkeypatch, grid, bufsize):
+    sizes = []
+    real = np.setbufsize
+    monkeypatch.setattr(np, "setbufsize", lambda size: sizes.append(size) or real(size))
+    a, lum, f, x = _lorentz_case(1, 1, grid, seed=9)
+    spectrum.lorentz_sum(a, lum, f, x)
+    assert sizes == [bufsize, np.getbufsize()]  # the kernel's size, then the caller's back
+
+
 def test_lorentz_sum_dark_line_with_underflowing_width():
     # Row 0 of the last block holds a dark line whose f * f underflows to 0
     # and which sits on a grid point, so its term there is 0/0: it must add 0.

@@ -1,6 +1,8 @@
 import math
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -328,3 +330,71 @@ def test_concurrent_sweeps_get_their_own_bits():
     assert not any(thread.is_alive() for thread in threads)
     for k in range(len(own)):
         assert got[k] == [want[k][i % 2] for i in range(40)]
+
+
+def _solve_case(n, seed):
+    """n reduced matrices, coupled and decoupled, with 0.0 and -0.0 splittings in every quarter of the stack."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((n, 3, 3))
+    m[:, 0, 0] = rng.uniform(-0.05, 0.05, n)
+    m[:, 0, 1] = m[:, 1, 0] = rng.uniform(0.0, 0.2, n)
+    m[:, 1, 2] = m[:, 2, 1] = rng.uniform(0.0, 0.2, n)
+    m[:, 2, 2] = rng.uniform(-0.06, 0.06, n)
+    decoupled = np.arange(n) % 5 == 0
+    m[decoupled, 0, 1] = m[decoupled, 1, 0] = m[decoupled, 1, 2] = m[decoupled, 2, 1] = 0.0
+    m[np.arange(n) % 7 == 0, 2, 2] = -0.0
+    m[np.arange(n) % 11 == 0, 2, 2] = 0.0
+    return m
+
+
+def _solve_once(m, mu):
+    sweep._solve.cache_clear()  # a kept stack would skip the solve
+    return sweep._solve(m.tobytes(), mu)
+
+
+def test_solve_shares_give_the_one_share_bits(monkeypatch):
+    started = count_thread_starts(monkeypatch)
+    m = _solve_case(2 * sweep._SOLVE_SHARE_ROWS + 3, seed=1)
+    energies, coeffs = sweep._eigensystems(m)
+    want = (energies, *line_table(energies, coeffs, 1.3))
+    assert (np.signbit(energies) & (energies == 0.0)).any()  # a decoupled -0.0 splitting keeps its sign
+    got = _solve_once(m, 1.3)
+    assert len(started) == 1 and not started[0].is_alive()  # two shares, the caller's among them
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    monkeypatch.setattr(sweep, "_SOLVE_SHARE_ROWS", m.shape[0] + 1)  # one share
+    started.clear()
+    assert [arr.tobytes() for arr in _solve_once(m, 1.3)] == [arr.tobytes() for arr in got]
+    assert started == []
+
+
+def test_solve_thread_count_is_bounded(monkeypatch):
+    started = count_thread_starts(monkeypatch, cpus=8)
+    rows = sweep._SOLVE_SHARE_ROWS
+    _solve_once(_solve_case(2 * rows - 1, seed=2), 1.0)  # too few rows for two shares
+    assert started == []
+    _solve_once(_solve_case(10 * rows, seed=3), 1.0)  # ten shares' worth of rows, eight CPUs
+    assert len(started) == 7
+    started.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count: the caller's thread only
+    _solve_once(_solve_case(10 * rows, seed=3), 1.0)
+    assert started == []
+
+
+@pytest.mark.parametrize("share", [0, 1])
+def test_solve_raises_what_a_share_raises(monkeypatch, share):
+    started = count_thread_starts(monkeypatch)
+    real = sweep._eigensystems
+
+    def slow_in_thread(m):  # the other share still runs when the caller's returns or raises
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
+        return real(m)
+
+    monkeypatch.setattr(sweep, "_eigensystems", slow_in_thread)
+    m = _solve_case(2 * sweep._SOLVE_SHARE_ROWS + 3, seed=4)
+    row = m.shape[0] - 1 if share else 0
+    m[row] = np.diag([1e308, 0.0, -1e308])  # decoupled, finite energies whose differences overflow
+    with pytest.raises(ValueError, match="^line positions a = E_i - E_j must be finite"):
+        _solve_once(m, 1.0)
+    assert len(started) == 1 and not started[0].is_alive()
