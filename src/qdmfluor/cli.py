@@ -332,22 +332,6 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
         raise _CliError(1, f"{path}: schema mismatch: {exc}") from exc
 
 
-def _grid_axes(deltas: np.ndarray, dps: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The splitting and detuning axes of a map table, read off its first column and first row block.
-
-    None unless both axes ascend strictly and the columns are, bit for bit,
-    np.repeat and np.tile of them; then they are what np.unique would give.
-    """
-    n_x = int(np.argmax(deltas != deltas[0])) or deltas.size  # the rows of the first splitting
-    d_axis, x_axis = deltas[::n_x], dps[:n_x]
-    if deltas.size % n_x or not ((np.diff(d_axis) > 0.0).all() and (np.diff(x_axis) > 0.0).all()):
-        return None
-    d_bits, x_bits = (col.view(np.int64).reshape(-1, n_x) for col in (deltas, dps))  # one row per block, no copy
-    if not ((d_bits == d_bits[:, :1]).all() and (x_bits == x_bits[:1]).all()):
-        return None
-    return d_axis, x_axis
-
-
 def cmd_plot(args: argparse.Namespace) -> int:
     path = Path(args.input)
     header, table = _read_table(path)
@@ -366,19 +350,15 @@ def cmd_plot(args: argparse.Namespace) -> int:
         svg = svgplot.line_chart(rows[:, 0, 0], series, x_label="delta (eV)", y_label="delta_prime (eV)")
     elif header == MAP_HEADER and args.kind == "heatmap":
         deltas, dps, vals = table.T
-        axes = _grid_axes(deltas, dps)
-        if axes is not None:
-            d_axis, x_axis = axes
-        else:  # not plainly a grid: np.unique finds the axes, and the checks word the refusal
-            d_axis = np.unique(deltas)
-            x_axis = np.unique(dps)
-            if d_axis.size * x_axis.size != vals.size:
-                raise _CliError(1, f"{path}: schema mismatch: map is not a full grid")
-            if not (
-                np.array_equal(deltas, np.repeat(d_axis, x_axis.size))
-                and np.array_equal(dps, np.tile(x_axis, d_axis.size))
-            ):
-                raise _CliError(1, f"{path}: schema mismatch: rows are not in ascending splitting-major order")
+        d_axis = np.unique(deltas)
+        x_axis = np.unique(dps)
+        if d_axis.size * x_axis.size != vals.size:
+            raise _CliError(1, f"{path}: schema mismatch: map is not a full grid")
+        if not (
+            np.array_equal(deltas, np.repeat(d_axis, x_axis.size))
+            and np.array_equal(dps, np.tile(x_axis, d_axis.size))
+        ):
+            raise _CliError(1, f"{path}: schema mismatch: rows are not in ascending splitting-major order")
         grid = vals.reshape(d_axis.size, x_axis.size)
         svg = svgplot.heatmap(x_axis, d_axis, grid, x_label="delta_prime (eV)", y_label="delta (eV)")
     else:
@@ -403,7 +383,7 @@ def _add_common(parser: argparse.ArgumentParser, temp: bool = False, delta: bool
     if delta:
         parser.add_argument("--delta", type=float, help="exciton splitting in eV, overrides delta_ev")
     if workers:
-        parser.add_argument("--workers", type=_workers, default=None, help="most threads for the Lorentzian kernel's row blocks (default: one per CPU); the output bytes do not depend on it")
+        parser.add_argument("--workers", type=_workers, default=None, help="most threads for the sweep's eigensolve and Lorentzian kernel (default: one per CPU); the output bytes do not depend on it")
 
 
 @functools.cache

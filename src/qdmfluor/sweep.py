@@ -6,21 +6,24 @@ splittings (:func:`core.dressed_states`), one (N, 9) line table
 (:func:`spectrum.line_table`) and one broadcast Lorentzian sum
 (:func:`spectrum.lorentz_sum`), whose row blocks run on up to one thread
 per CPU, ``workers`` capping the count.  The eigensolve and the line table
-run on even shares of the splittings, one thread per CPU at most and
-_SOLVE_SHARE_ROWS splittings per share at least; ``workers`` does not cap
-them.  Row r of every result equals the standalone per-triplet computation
-at that row's splitting or temperature, to the last bit, whatever
-``workers`` or the thread count is: each matrix is solved on its own.
+run on even shares of the splittings, one thread per CPU at most,
+_SOLVE_SHARE_ROWS splittings per share at least, and ``workers`` capping
+the count too.  Row r of every result equals the standalone per-triplet
+computation at that row's splitting or temperature, to the last bit,
+whatever ``workers`` or the thread count is: each matrix is solved on its
+own.  A refusal does not depend on them either: a stack that fails in any
+share is solved again whole on the caller's thread, which raises what one
+share raises.
 
 One sweep is solved once: the energies and the line table of the last
 sweep solved are kept, keyed on the exact bits of its matrix stack and on
 mu, so the curves, the branches and the map of one sweep share a single
-eigensolve.  The kept arrays are read-only, and results may share them.
+eigensolve, whatever ``workers`` each passes.  The kept arrays are
+read-only, and results may share them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import DriveParams, EmitterParams, _eigensystems, _reduced_matrices
-from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, _run_shares, line_table, line_widths, lorentz_sum
+from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, _check_workers, _run_shares, line_table, line_widths, lorentz_sum
 
 # perfbench/layers.py wraps these per-triplet names in this namespace; the sweeps do not call them.
 from .core import diagonalize, reduced_hamiltonian  # noqa: F401
@@ -134,22 +137,33 @@ class IntensityMap:
         object.__setattr__(self, "values", v)
 
 
+_kept: tuple = ()  # (m_bytes, mu, solved) of the last sweep solved; replaced whole, so threads may share it
+
+
 def _solved(
-    emitter: EmitterParams, drive: DriveParams, deltas: np.ndarray | list[float]
+    emitter: EmitterParams, drive: DriveParams, deltas: np.ndarray | list[float], workers: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only energies (N, 3) and line table a, lum (N, 9) at each splitting in deltas.
 
     The bits of line_table(*dressed_states(emitter, drive, deltas), emitter.mu),
     with the energies first.  The key is the bytes of the matrix stack, not
-    the parameters: a -0.0 splitting is another matrix than a 0.0 one.
+    the parameters: a -0.0 splitting is another matrix than a 0.0 one.  mu
+    keys by type as well, since a float32 mu equal to a float one squares in
+    float32.  workers caps the solve's threads and is no part of the key.
     """
+    global _kept
+    _check_workers(workers)
     m = _reduced_matrices(emitter, drive, np.asarray(deltas, dtype=float))
-    return _solve(m.tobytes(), emitter.mu)
+    m_bytes, mu, kept = m.tobytes(), emitter.mu, _kept
+    if kept and kept[0] == m_bytes and type(kept[1]) is type(mu) and kept[1] == mu:
+        return kept[2]
+    solved = _solve(m, mu, workers)
+    _kept = (m_bytes, mu, solved)
+    return solved
 
 
-@functools.lru_cache(maxsize=1, typed=True)  # typed: a float32 mu equal to a float one squares in float32
-def _solve(m_bytes: bytes, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m = np.frombuffer(m_bytes).reshape(-1, 3, 3)
+def _solve(m: np.ndarray, mu: float, workers: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only energies, a and lum of the stack m, on min(shares, CPUs, workers) threads."""
     n = m.shape[0]
     energies, a, lum = np.empty((n, 3)), np.empty((n, 9)), np.empty((n, 9))
 
@@ -158,7 +172,14 @@ def _solve(m_bytes: bytes, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
         a[first:last], lum[first:last] = line_table(energies[first:last], coeffs, mu)
 
     shares = n // _SOLVE_SHARE_ROWS
-    _run_shares(run, n, min(shares, os.cpu_count() or 1) if shares > 1 else 1)
+    threads = min(shares, os.cpu_count() or 1, workers or shares) if shares > 1 else 1
+    try:
+        _run_shares(run, n, threads)
+    except Exception:
+        if threads == 1:
+            raise
+        run(0, 0, n)  # refuse as one share does: the first failing check over every row, in its words
+        raise
     # An array over bytes can never be made writeable again, so no caller can change a kept result.
     return tuple(np.frombuffer(arr.tobytes()).reshape(arr.shape) for arr in (energies, a, lum))
 
@@ -192,13 +213,13 @@ def temperature_series(
     """One spectrum per temperature on a shared grid, same transitions throughout.
 
     All temperatures are evaluated as one array.  workers (an int >= 1, or
-    None for no cap) caps the threads that sum the Lorentzian kernel's row
-    blocks; the result does not depend on it.
+    None for no cap) caps the threads of the eigensolve and of the
+    Lorentzian kernel's row blocks; the result does not depend on it.
     """
     f = line_widths(model, [float(t) for t in temps])
     if not f.size:
         raise ValueError("temps must not be empty")
-    _, a, lum = _solved(emitter, drive, [emitter.delta])
+    _, a, lum = _solved(emitter, drive, [emitter.delta], workers)
     x = grid.values()
     rows = lorentz_sum(a, lum, f, x, workers)
     return [SpectrumGrid(x, row) for row in rows]
@@ -217,12 +238,12 @@ def intensity_map(
 
     Row r equals a standalone spectrum computed at delta_axis[r].  All rows
     are evaluated as one array.  workers (an int >= 1, or None for no cap)
-    caps the threads that sum the Lorentzian kernel's row blocks; the result
-    does not depend on it.
+    caps the threads of the eigensolve and of the Lorentzian kernel's row
+    blocks; the result does not depend on it.
     """
     deltas = delta_range.values()
     f = line_widths(model, [temp_k])
-    _, a, lum = _solved(emitter, drive, deltas)
+    _, a, lum = _solved(emitter, drive, deltas, workers)
     dp = grid.values()
     values = lorentz_sum(a, lum, f, dp, workers)
     return IntensityMap(delta_axis=deltas, dp_axis=dp, values=values)

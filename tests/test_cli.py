@@ -752,27 +752,3 @@ class TestPlot:
         assert main(["plot", str(csv_path), "--kind", "line", "--out", str(a)]) == 0
         assert main(["plot", str(csv_path), "--kind", "line", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    d_axis=st.lists(st.sampled_from([-0.02, -0.0, 0.0, 0.01, 0.03]), min_size=1, max_size=4),
-    x_axis=st.lists(st.sampled_from([-0.1, -0.0, 0.0, 0.05, 0.1]), min_size=1, max_size=4),
-    edits=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 1), st.sampled_from([-0.0, 0.0, 0.01])), max_size=2),
-)
-@example(d_axis=[0.0, 0.01], x_axis=[-0.1, 0.0], edits=[(1, 1, -0.0)])  # a -0.0 in one block only: unique decides
-def test_heatmap_grid_axes_are_what_unique_finds(d_axis, x_axis, edits):
-    table = np.column_stack([np.repeat(d_axis, len(x_axis)), np.tile(x_axis, len(d_axis)), np.ones(len(d_axis) * len(x_axis))])
-    for row, col, value in edits:
-        table[row % len(table), col] = value
-    deltas, dps, _ = table.T
-    axes = cli._grid_axes(deltas, dps)
-    ascending = all(p < q for p, q in zip(d_axis, d_axis[1:])) and all(p < q for p, q in zip(x_axis, x_axis[1:]))
-    if ascending and not edits:
-        assert axes is not None  # a plain grid is read off its first column and first block
-    if axes is not None:
-        # The axes np.unique finds, and the columns are their repeat and tile bit for bit (so a
-        # -0.0 never stands for a 0.0), which passes the order check that follows np.unique.
-        assert [ax.tobytes() for ax in axes] == [np.unique(deltas).tobytes(), np.unique(dps).tobytes()]
-        assert deltas.tobytes() == np.repeat(axes[0], axes[1].size).tobytes()
-        assert dps.tobytes() == np.tile(axes[1], axes[0].size).tobytes()

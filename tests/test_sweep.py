@@ -226,7 +226,7 @@ def test_one_study_point_solves_each_sweep_once(monkeypatch):
     solved = []
     real = sweep._eigensystems
     monkeypatch.setattr(sweep, "_eigensystems", lambda m: solved.append(len(m)) or real(m))
-    sweep._solve.cache_clear()  # an earlier test may have left this sweep behind
+    monkeypatch.setattr(sweep, "_kept", ())  # an earlier test may have left this sweep behind
     emitter, drive = strong_drive(delta=0.008)
     rng = SweepRange(lo=0.0, hi=0.06, steps=201)
     grid = GridSpec(-0.35, 0.35, 101)
@@ -347,9 +347,8 @@ def _solve_case(n, seed):
     return m
 
 
-def _solve_once(m, mu):
-    sweep._solve.cache_clear()  # a kept stack would skip the solve
-    return sweep._solve(m.tobytes(), mu)
+def _solve_once(m, mu, workers=None):
+    return sweep._solve(m, mu, workers)  # keeps nothing: every call solves
 
 
 def test_solve_shares_give_the_one_share_bits(monkeypatch):
@@ -376,9 +375,28 @@ def test_solve_thread_count_is_bounded(monkeypatch):
     _solve_once(_solve_case(10 * rows, seed=3), 1.0)  # ten shares' worth of rows, eight CPUs
     assert len(started) == 7
     started.clear()
+    _solve_once(_solve_case(10 * rows, seed=3), 1.0, workers=3)
+    assert len(started) == 2
+    started.clear()
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count: the caller's thread only
     _solve_once(_solve_case(10 * rows, seed=3), 1.0)
     assert started == []
+
+
+def test_workers_cap_the_solve_threads(monkeypatch):
+    started = count_thread_starts(monkeypatch, cpus=8)
+    emitter, drive = strong_drive(delta=0.008)
+    rng = SweepRange(lo=0.0, hi=0.06, steps=2 * sweep._SOLVE_SHARE_ROWS)
+    grid = GridSpec(-0.35, 0.35, 11)  # one kernel block, so the kernel starts no thread
+    monkeypatch.setattr(sweep, "_kept", ())
+    one = intensity_map(rng, grid, emitter, drive, _model(), workers=1)
+    assert started == []
+    kept = intensity_map(rng, grid, emitter, drive, _model())  # workers is no part of the key: no second solve
+    assert started == []
+    monkeypatch.setattr(sweep, "_kept", ())
+    two = intensity_map(rng, grid, emitter, drive, _model())
+    assert len(started) == 1  # the second solve share
+    assert one.values.tobytes() == kept.values.tobytes() == two.values.tobytes()
 
 
 @pytest.mark.parametrize("share", [0, 1])
@@ -398,3 +416,14 @@ def test_solve_raises_what_a_share_raises(monkeypatch, share):
     with pytest.raises(ValueError, match="^line positions a = E_i - E_j must be finite"):
         _solve_once(m, 1.0)
     assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_solve_refuses_as_one_share_does():
+    m = _solve_case(2 * sweep._SOLVE_SHARE_ROWS + 3, seed=5)
+    m[0] = np.diag([1e308, 0.0, -1e308])  # share 0: finite energies whose differences overflow (line_table)
+    m[-1, 0, 0] = np.inf  # share 1: a coupled row whose energies are not finite (_eigensystems)
+    with pytest.raises(ValueError) as one_share:
+        sweep._eigensystems(m)  # what one share runs first, on every row
+    with pytest.raises(ValueError) as shares:
+        _solve_once(m, 1.0)
+    assert str(shares.value) == str(one_share.value) == "dressed energies and coeffs must be finite"
