@@ -383,7 +383,7 @@ def _add_common(parser: argparse.ArgumentParser, temp: bool = False, delta: bool
     if delta:
         parser.add_argument("--delta", type=float, help="exciton splitting in eV, overrides delta_ev")
     if workers:
-        parser.add_argument("--workers", type=_workers, default=None, help="most threads for the sweep's eigensolve and Lorentzian kernel (default: one per CPU); the output bytes do not depend on it")
+        parser.add_argument("--workers", type=_workers, default=None, help="most threads for the Lorentzian kernel (default: one per CPU; the eigensolve runs on the caller's thread); the output bytes do not depend on it")
 
 
 @functools.cache

@@ -287,11 +287,6 @@ def lorentz_terms(a, lum, f, x_ends=()) -> tuple[np.ndarray, np.ndarray]:
     return scale, f2
 
 
-def _check_workers(workers: int | None) -> None:
-    if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
-        raise ValueError(f"workers must be an integer >= 1 or None, got {workers!r}")
-
-
 def _run_shares(run, n_rows: int, n_threads: int) -> None:
     """Call run(share, first, last) on n_threads even shares of rows 0..n_rows.
 
@@ -348,7 +343,8 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
     order, so the result does not depend on the block size, on workers or
     on the buffer size.
     """
-    _check_workers(workers)
+    if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
+        raise ValueError(f"workers must be an integer >= 1 or None, got {workers!r}")
     a, lum, f = np.broadcast_arrays(a, lum, f)
     scale, f2 = lorentz_terms(a, lum, f, (x.min(), x.max()) if x.size else ())
     n_rows = a.shape[0]

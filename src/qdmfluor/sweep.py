@@ -2,18 +2,13 @@
 series, and the 2-d intensity map over (exciton splitting, detuning).
 
 A sweep is evaluated as arrays in one pass: one stacked eigensolve over all
-splittings (:func:`core.dressed_states`), one (N, 9) line table
-(:func:`spectrum.line_table`) and one broadcast Lorentzian sum
-(:func:`spectrum.lorentz_sum`), whose row blocks run on up to one thread
-per CPU, ``workers`` capping the count.  The eigensolve and the line table
-run on even shares of the splittings, one thread per CPU at most,
-_SOLVE_SHARE_ROWS splittings per share at least, and ``workers`` capping
-the count too.  Row r of every result equals the standalone per-triplet
-computation at that row's splitting or temperature, to the last bit,
-whatever ``workers`` or the thread count is: each matrix is solved on its
-own.  A refusal does not depend on them either: a stack that fails in any
-share is solved again whole on the caller's thread, which raises what one
-share raises.
+splittings (:func:`core.dressed_states`) and one (N, 9) line table
+(:func:`spectrum.line_table`), both on the caller's thread, then one
+broadcast Lorentzian sum (:func:`spectrum.lorentz_sum`), whose row blocks
+run on up to one thread per CPU, ``workers`` capping the count.  Row r of
+every result equals the standalone per-triplet computation at that row's
+splitting or temperature, to the last bit, whatever ``workers`` is: each
+matrix is solved on its own.
 
 One sweep is solved once: the energies and the line table of the last
 sweep solved are kept, keyed on the exact bits of its matrix stack and on
@@ -25,14 +20,13 @@ read-only, and results may share them.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .core import DriveParams, EmitterParams, _eigensystems, _reduced_matrices
-from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, _check_workers, _run_shares, line_table, line_widths, lorentz_sum
+from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, lorentz_sum
 
 # perfbench/layers.py wraps these per-triplet names in this namespace; the sweeps do not call them.
 from .core import diagonalize, reduced_hamiltonian  # noqa: F401
@@ -48,10 +42,6 @@ __all__ = [
     "temperature_series",
     "intensity_map",
 ]
-
-# Fewest rows in a solve share.  On 2 vCPUs, _solve of 2 x 384 rows took 4.2 ms on one
-# thread or two, 2 x 512 rows 5.0 -> 4.7 ms, and 2001 rows 11.2 -> 9.7 ms (medians of 300).
-_SOLVE_SHARE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -141,7 +131,7 @@ _kept: tuple = ()  # (m_bytes, mu, solved) of the last sweep solved; replaced wh
 
 
 def _solved(
-    emitter: EmitterParams, drive: DriveParams, deltas: np.ndarray | list[float], workers: int | None = None
+    emitter: EmitterParams, drive: DriveParams, deltas: np.ndarray | list[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only energies (N, 3) and line table a, lum (N, 9) at each splitting in deltas.
 
@@ -149,37 +139,22 @@ def _solved(
     with the energies first.  The key is the bytes of the matrix stack, not
     the parameters: a -0.0 splitting is another matrix than a 0.0 one.  mu
     keys by type as well, since a float32 mu equal to a float one squares in
-    float32.  workers caps the solve's threads and is no part of the key.
+    float32.
     """
     global _kept
-    _check_workers(workers)
     m = _reduced_matrices(emitter, drive, np.asarray(deltas, dtype=float))
     m_bytes, mu, kept = m.tobytes(), emitter.mu, _kept
     if kept and kept[0] == m_bytes and type(kept[1]) is type(mu) and kept[1] == mu:
         return kept[2]
-    solved = _solve(m, mu, workers)
+    solved = _solve(m, mu)
     _kept = (m_bytes, mu, solved)
     return solved
 
 
-def _solve(m: np.ndarray, mu: float, workers: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only energies, a and lum of the stack m, on min(shares, CPUs, workers) threads."""
-    n = m.shape[0]
-    energies, a, lum = np.empty((n, 3)), np.empty((n, 9)), np.empty((n, 9))
-
-    def run(share: int, first: int, last: int) -> None:
-        energies[first:last], coeffs = _eigensystems(m[first:last])
-        a[first:last], lum[first:last] = line_table(energies[first:last], coeffs, mu)
-
-    shares = n // _SOLVE_SHARE_ROWS
-    threads = min(shares, os.cpu_count() or 1, workers or shares) if shares > 1 else 1
-    try:
-        _run_shares(run, n, threads)
-    except Exception:
-        if threads == 1:
-            raise
-        run(0, 0, n)  # refuse as one share does: the first failing check over every row, in its words
-        raise
+def _solve(m: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only energies, a and lum of the stack m."""
+    energies, coeffs = _eigensystems(m)
+    a, lum = line_table(energies, coeffs, mu)
     # An array over bytes can never be made writeable again, so no caller can change a kept result.
     return tuple(np.frombuffer(arr.tobytes()).reshape(arr.shape) for arr in (energies, a, lum))
 
@@ -213,13 +188,13 @@ def temperature_series(
     """One spectrum per temperature on a shared grid, same transitions throughout.
 
     All temperatures are evaluated as one array.  workers (an int >= 1, or
-    None for no cap) caps the threads of the eigensolve and of the
-    Lorentzian kernel's row blocks; the result does not depend on it.
+    None for no cap) caps the threads of the Lorentzian kernel's row
+    blocks; the result does not depend on it.
     """
     f = line_widths(model, [float(t) for t in temps])
     if not f.size:
         raise ValueError("temps must not be empty")
-    _, a, lum = _solved(emitter, drive, [emitter.delta], workers)
+    _, a, lum = _solved(emitter, drive, [emitter.delta])
     x = grid.values()
     rows = lorentz_sum(a, lum, f, x, workers)
     return [SpectrumGrid(x, row) for row in rows]
@@ -238,12 +213,12 @@ def intensity_map(
 
     Row r equals a standalone spectrum computed at delta_axis[r].  All rows
     are evaluated as one array.  workers (an int >= 1, or None for no cap)
-    caps the threads of the eigensolve and of the Lorentzian kernel's row
-    blocks; the result does not depend on it.
+    caps the threads of the Lorentzian kernel's row blocks; the result does
+    not depend on it.
     """
     deltas = delta_range.values()
     f = line_widths(model, [temp_k])
-    _, a, lum = _solved(emitter, drive, deltas, workers)
+    _, a, lum = _solved(emitter, drive, deltas)
     dp = grid.values()
     values = lorentz_sum(a, lum, f, dp, workers)
     return IntensityMap(delta_axis=deltas, dp_axis=dp, values=values)

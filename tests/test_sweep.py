@@ -1,8 +1,6 @@
 import math
-import os
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -232,7 +230,7 @@ def test_one_study_point_solves_each_sweep_once(monkeypatch):
     grid = GridSpec(-0.35, 0.35, 101)
     dressed_energy_curves(rng, emitter, drive)
     transition_branches(rng, emitter, drive)
-    intensity_map(rng, grid, emitter, drive, _model())
+    intensity_map(rng, grid, emitter, drive, _model(), workers=1)  # workers is no part of the key: no second solve
     temperature_series([5.0, 20.0], emitter, drive, _model(), grid)
     assert solved == [201, 1]  # the sweep once for curves, branches and map; the series' one splitting
 
@@ -347,83 +345,32 @@ def _solve_case(n, seed):
     return m
 
 
-def _solve_once(m, mu, workers=None):
-    return sweep._solve(m, mu, workers)  # keeps nothing: every call solves
-
-
-def test_solve_shares_give_the_one_share_bits(monkeypatch):
+def test_solve_shares_give_the_one_share_bits(monkeypatch):  # one share: the whole stack, on the caller's thread
     started = count_thread_starts(monkeypatch)
-    m = _solve_case(2 * sweep._SOLVE_SHARE_ROWS + 3, seed=1)
+    m = _solve_case(1027, seed=1)
     energies, coeffs = sweep._eigensystems(m)
     want = (energies, *line_table(energies, coeffs, 1.3))
     assert (np.signbit(energies) & (energies == 0.0)).any()  # a decoupled -0.0 splitting keeps its sign
-    got = _solve_once(m, 1.3)
-    assert len(started) == 1 and not started[0].is_alive()  # two shares, the caller's among them
+    got = sweep._solve(m, 1.3)  # keeps nothing: every call solves
+    assert started == []  # the caller's thread solves the whole stack
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    monkeypatch.setattr(sweep, "_SOLVE_SHARE_ROWS", m.shape[0] + 1)  # one share
-    started.clear()
-    assert [arr.tobytes() for arr in _solve_once(m, 1.3)] == [arr.tobytes() for arr in got]
-    assert started == []
 
 
-def test_solve_thread_count_is_bounded(monkeypatch):
-    started = count_thread_starts(monkeypatch, cpus=8)
-    rows = sweep._SOLVE_SHARE_ROWS
-    _solve_once(_solve_case(2 * rows - 1, seed=2), 1.0)  # too few rows for two shares
-    assert started == []
-    _solve_once(_solve_case(10 * rows, seed=3), 1.0)  # ten shares' worth of rows, eight CPUs
-    assert len(started) == 7
-    started.clear()
-    _solve_once(_solve_case(10 * rows, seed=3), 1.0, workers=3)
-    assert len(started) == 2
-    started.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count: the caller's thread only
-    _solve_once(_solve_case(10 * rows, seed=3), 1.0)
-    assert started == []
+def test_solve_refuses_as_one_share_does():  # the first failing check over every row
+    m = _solve_case(1027, seed=5)
+    m[0] = np.diag([1e308, 0.0, -1e308])  # first row: finite energies whose differences overflow (line_table)
+    m[-1, 0, 0] = np.inf  # last row: a coupled row whose energies are not finite (_eigensystems)
+    with pytest.raises(ValueError) as eigensystems:
+        sweep._eigensystems(m)  # what _solve runs first, on every row
+    with pytest.raises(ValueError) as solve:
+        sweep._solve(m, 1.0)
+    assert str(solve.value) == str(eigensystems.value) == "dressed energies and coeffs must be finite"
 
 
-def test_workers_cap_the_solve_threads(monkeypatch):
-    started = count_thread_starts(monkeypatch, cpus=8)
-    emitter, drive = strong_drive(delta=0.008)
-    rng = SweepRange(lo=0.0, hi=0.06, steps=2 * sweep._SOLVE_SHARE_ROWS)
-    grid = GridSpec(-0.35, 0.35, 11)  # one kernel block, so the kernel starts no thread
-    monkeypatch.setattr(sweep, "_kept", ())
-    one = intensity_map(rng, grid, emitter, drive, _model(), workers=1)
-    assert started == []
-    kept = intensity_map(rng, grid, emitter, drive, _model())  # workers is no part of the key: no second solve
-    assert started == []
-    monkeypatch.setattr(sweep, "_kept", ())
-    two = intensity_map(rng, grid, emitter, drive, _model())
-    assert len(started) == 1  # the second solve share
-    assert one.values.tobytes() == kept.values.tobytes() == two.values.tobytes()
-
-
-@pytest.mark.parametrize("share", [0, 1])
-def test_solve_raises_what_a_share_raises(monkeypatch, share):
+def test_study_map_solves_on_the_callers_thread(monkeypatch):
     started = count_thread_starts(monkeypatch)
-    real = sweep._eigensystems
-
-    def slow_in_thread(m):  # the other share still runs when the caller's returns or raises
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.2)
-        return real(m)
-
-    monkeypatch.setattr(sweep, "_eigensystems", slow_in_thread)
-    m = _solve_case(2 * sweep._SOLVE_SHARE_ROWS + 3, seed=4)
-    row = m.shape[0] - 1 if share else 0
-    m[row] = np.diag([1e308, 0.0, -1e308])  # decoupled, finite energies whose differences overflow
-    with pytest.raises(ValueError, match="^line positions a = E_i - E_j must be finite"):
-        _solve_once(m, 1.0)
-    assert len(started) == 1 and not started[0].is_alive()
-
-
-def test_solve_refuses_as_one_share_does():
-    m = _solve_case(2 * sweep._SOLVE_SHARE_ROWS + 3, seed=5)
-    m[0] = np.diag([1e308, 0.0, -1e308])  # share 0: finite energies whose differences overflow (line_table)
-    m[-1, 0, 0] = np.inf  # share 1: a coupled row whose energies are not finite (_eigensystems)
-    with pytest.raises(ValueError) as one_share:
-        sweep._eigensystems(m)  # what one share runs first, on every row
-    with pytest.raises(ValueError) as shares:
-        _solve_once(m, 1.0)
-    assert str(shares.value) == str(one_share.value) == "dressed energies and coeffs must be finite"
+    emitter, drive = strong_drive(delta=0.008)
+    monkeypatch.setattr(sweep, "_kept", ())
+    intensity_map(SweepRange(lo=0.0, hi=0.06, steps=2001), GridSpec(-0.35, 0.35, 401), emitter, drive, _model(), workers=1)
+    assert started == []  # the sweep-study shape: neither the eigensolve nor the kernel starts a thread
