@@ -176,7 +176,6 @@ def cmd_map(args: argparse.Namespace) -> int:
         cfg.drive(),
         cfg.broadening(),
         temp_k=cfg.temp_k,
-        workers=args.workers,
     )
     dps = _column(result.dp_axis)
     # One block per splitting row: only one row of values is formatted at a time.
@@ -208,7 +207,7 @@ def cmd_tempseries(args: argparse.Namespace) -> int:
         if path in paths:
             raise _CliError(1, f"--temps {paths[path]!r} and {temp!r} would both write {path.name}")
         paths[path] = temp
-    grids = temperature_series(temps, cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid(), args.workers)
+    grids = temperature_series(temps, cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
     # Every spectrum of the series shares one detuning grid.
     dps = _column(grids[0].delta_prime)
     _write_files({
@@ -368,22 +367,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workers(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
-
-
-def _add_common(parser: argparse.ArgumentParser, temp: bool = False, delta: bool = False, workers: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, temp: bool = False, delta: bool = False) -> None:
     parser.add_argument("--config", required=True, help="path to the run configuration file")
     parser.add_argument("--out", help="output file path")
     if temp:
         parser.add_argument("--temp", type=float, help="temperature in K, overrides temp_k")
     if delta:
         parser.add_argument("--delta", type=float, help="exciton splitting in eV, overrides delta_ev")
-    if workers:
-        parser.add_argument("--workers", type=_workers, default=None, help="most threads for the Lorentzian kernel (default: one per CPU; the eigensolve runs on the caller's thread); the output bytes do not depend on it")
 
 
 @functools.cache
@@ -409,11 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_branches)
 
     p = add("map", help="intensity map over (splitting, detuning)")
-    _add_common(p, temp=True, workers=True)
+    _add_common(p, temp=True)
     p.set_defaults(func=cmd_map)
 
     p = add("tempseries", help="one spectrum per temperature")
-    _add_common(p, delta=True, workers=True)
+    _add_common(p, delta=True)
     p.add_argument("--temps", default=",".join(f"{t:g}" for t in DEFAULT_TEMPS), help="comma-separated temperatures in K")
     p.set_defaults(func=cmd_tempseries)
 

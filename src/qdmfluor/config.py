@@ -90,9 +90,7 @@ class RunConfig:
         return self.delta_ev
 
     def emitter(self) -> EmitterParams:
-        return EmitterParams(
-            e_xd=self.e_xd_ev, delta=self.effective_delta, t=self.t_ev, mu=self.mu, d=self.d_nm, e0=self.e0_ev
-        )
+        return EmitterParams(e_xd=self.e_xd_ev, delta=self.effective_delta, t=self.t_ev, mu=self.mu, e0=self.e0_ev)
 
     def drive(self) -> DriveParams:
         return DriveParams(n=self.n, g=self.g_ev, hw_l=self.hw_l_ev)

@@ -6,10 +6,10 @@ All energies are in eV.  The three-state basis is ordered
 
 i.e. the ground configuration with n laser photons, the optically active
 direct exciton, and the tunnel-coupled, optically dark indirect exciton.
-Every photon-number triplet maps onto the same 3x3 eigenproblem once the
-reference energy e_ref = E_XD + (n - 1) * hw_l is subtracted from the
-diagonal, which keeps the numerics well conditioned (absolute rung
-energies are of order n * hw_l).
+Every photon-number triplet maps onto the same 3x3 eigenproblem, written
+relative to its rung energy E_XD + (n - 1) * hw_l, which keeps the
+numerics well conditioned (absolute rung energies are of order n * hw_l).
+No result carries the rung energy.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class EmitterParams:
     delta: exciton splitting E_XI - E_XD (eV); any finite value, either sign
     t:     tunneling rate between the exciton states (eV, >= 0)
     mu:    dipole scale of the direct exciton (arbitrary luminosity units, > 0)
-    d:     interdot distance (nm, > 0); only electric-field tuning uses it
     e0:    ground-configuration energy (eV); 0 puts the energy zero there
     """
 
@@ -60,18 +59,15 @@ class EmitterParams:
     delta: float
     t: float
     mu: float = 1.0
-    d: float = 10.0
     e0: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("e_xd", "delta", "t", "mu", "d", "e0"):
+        for name in ("e_xd", "delta", "t", "mu", "e0"):
             _require_finite(name, getattr(self, name))
         if self.t < 0.0:
             raise ValueError(f"tunneling rate t must be non-negative, got {self.t}")
         if self.mu <= 0.0:
             raise ValueError(f"dipole scale mu must be positive, got {self.mu}")
-        if self.d <= 0.0:
-            raise ValueError(f"interdot distance d must be positive, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -121,14 +117,12 @@ class TripletHamiltonian:
     """Rotating-frame Hamiltonian of one photon triplet.
 
     m is a real symmetric 3x3 matrix in the basis described in the module
-    docstring, with the reference energy e_ref already subtracted from the
-    diagonal.  The (g, XI) corner is exactly zero: the indirect exciton is
-    optically dark, so the only couplings are the drive (g-XD) and the
-    tunneling (XD-XI).
+    docstring, relative to the rung energy.  The (g, XI) corner is exactly
+    zero: the indirect exciton is optically dark, so the only couplings are
+    the drive (g-XD) and the tunneling (XD-XI).
     """
 
     m: np.ndarray
-    e_ref: float
 
     def __post_init__(self) -> None:
         m = np.asarray(self.m, dtype=float)
@@ -140,7 +134,6 @@ class TripletHamiltonian:
             raise ValueError("m must be exactly symmetric")
         if m[0, 2] != 0.0 or m[2, 0] != 0.0:
             raise ValueError("no direct g-XI coupling allowed: m[0][2] must be 0")
-        _require_finite("e_ref", self.e_ref)
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
@@ -149,7 +142,7 @@ class TripletHamiltonian:
 class DressedTriplet:
     """Eigensystem of a triplet Hamiltonian.
 
-    energies: the three eigenvalues, ascending, relative to e_ref (eV)
+    energies: the three eigenvalues, ascending, relative to the rung energy (eV)
     coeffs:   3x3 orthonormal matrix; row i holds (C_g, C_XD, C_XI) of
               dressed state i.  Sign convention: in each row the component
               of largest magnitude is positive, ties resolved in favor of
@@ -158,7 +151,6 @@ class DressedTriplet:
 
     energies: np.ndarray
     coeffs: np.ndarray
-    e_ref: float
 
     def __post_init__(self) -> None:
         energies = np.asarray(self.energies, dtype=float)
@@ -168,7 +160,6 @@ class DressedTriplet:
         if coeffs.shape != (3, 3):
             raise ValueError(f"coeffs must be 3x3, got shape {coeffs.shape}")
         _check_eigensystems(energies, coeffs)
-        _require_finite("e_ref", self.e_ref)
         energies.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "energies", energies)
@@ -224,12 +215,10 @@ def reduced_hamiltonian(emitter: EmitterParams, drive: DriveParams) -> TripletHa
          [g*sqrt(n), 0,       t    ],
          [0,         t,       delta]]
 
-    and e_ref = e_xd + (n - 1) * hw_l.  At exact resonance (hw_l = e_xd - e0)
-    the top-left entry vanishes.
+    relative to the rung energy e_xd + (n - 1) * hw_l.  At exact resonance
+    (hw_l = e_xd - e0) the top-left entry vanishes.
     """
-    m = _reduced_matrices(emitter, drive, np.array([emitter.delta]))[0]
-    e_ref = emitter.e_xd + (drive.n - 1) * drive.hw_l
-    return TripletHamiltonian(m=m, e_ref=e_ref)
+    return TripletHamiltonian(m=_reduced_matrices(emitter, drive, np.array([emitter.delta]))[0])
 
 
 def _eigensystems(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +258,7 @@ def diagonalize(h: TripletHamiltonian) -> DressedTriplet:
     bit for bit.
     """
     energies, coeffs = _eigensystems(h.m[None])
-    return DressedTriplet(energies=energies[0], coeffs=coeffs[0], e_ref=h.e_ref)
+    return DressedTriplet(energies=energies[0], coeffs=coeffs[0])
 
 
 def delta_from_field(delta_zero_field: float, d_nm: float, field_kv_per_cm: float) -> float:

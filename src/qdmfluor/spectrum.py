@@ -319,6 +319,12 @@ def _run_shares(run, n_rows: int, n_threads: int) -> None:
         raise errors[0]
 
 
+def _check_workers(workers) -> None:
+    """Refuse a workers cap that is not an int >= 1 or None."""
+    if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
+        raise ValueError(f"workers must be an integer >= 1 or None, got {workers!r}")
+
+
 def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, workers: int | None = None) -> np.ndarray:
     """Row r of the result is the sum over lines k of the Lorentzians on x.
 
@@ -343,8 +349,7 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
     order, so the result does not depend on the block size, on workers or
     on the buffer size.
     """
-    if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
-        raise ValueError(f"workers must be an integer >= 1 or None, got {workers!r}")
+    _check_workers(workers)
     a, lum, f = np.broadcast_arrays(a, lum, f)
     scale, f2 = lorentz_terms(a, lum, f, (x.min(), x.max()) if x.size else ())
     n_rows = a.shape[0]

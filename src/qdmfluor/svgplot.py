@@ -37,22 +37,23 @@ _STOP_POS, _STOP_RGB = (np.array(column) for column in zip(*_HEAT_STOPS))
 
 _MAX_HEAT_COLS = 512
 _MAX_HEAT_ROWS = 256
+_TICKS = 6
 
 
-def nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi] with a 1-2-5 step."""
+def nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi] with a 1-2-5 step, at most _TICKS of them."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo, hi]
     span = hi - lo
     if math.isinf(span):  # the span overflows: tick half the range, then double
-        return [2.0 * tick for tick in nice_ticks(lo / 2, hi / 2, target)]
-    raw_step = span / max(target - 1, 1)
+        return [2.0 * tick for tick in nice_ticks(lo / 2, hi / 2)]
+    raw_step = span / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw_step)) if raw_step > 0.0 else 0.0
     if mag == 0.0:  # a subnormal span: no step resolves it
         return [lo, hi]
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target - 1 + 1e-9:
+        if span / step <= _TICKS - 1 + 1e-9:
             break
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
@@ -142,7 +143,7 @@ class _Frame:
         return self.py_lo + _fraction(v, self.y_lo, self.y_hi) * (self.py_hi - self.py_lo)
 
 
-def _axes(parts: list[str], frame: _Frame, x_label: str, y_label: str, title: str) -> None:
+def _axes(parts: list[str], frame: _Frame, x_label: str, y_label: str) -> None:
     parts.append(
         f'<rect x="{frame.px_lo}" y="{frame.py_hi}" width="{frame.px_hi - frame.px_lo}" '
         f'height="{frame.py_lo - frame.py_hi}" fill="none" stroke="#333" stroke-width="1"/>'
@@ -165,8 +166,8 @@ def _axes(parts: list[str], frame: _Frame, x_label: str, y_label: str, title: st
             f'<text x="{frame.px_lo - 8}" y="{_fmt(py + 4)}" font-size="11" text-anchor="end" '
             f'fill="#333">{_fmt_tick(tick)}</text>'
         )
-    mid_x = (frame.px_lo + frame.px_hi) / 2
     if x_label:
+        mid_x = (frame.px_lo + frame.px_hi) / 2
         parts.append(
             f'<text x="{_fmt(mid_x)}" y="{_HEIGHT - 14}" font-size="13" text-anchor="middle" fill="#000">{x_label}</text>'
         )
@@ -175,10 +176,6 @@ def _axes(parts: list[str], frame: _Frame, x_label: str, y_label: str, title: st
         parts.append(
             f'<text x="20" y="{_fmt(mid_y)}" font-size="13" text-anchor="middle" fill="#000" '
             f'transform="rotate(-90 20 {_fmt(mid_y)})">{y_label}</text>'
-        )
-    if title:
-        parts.append(
-            f'<text x="{_fmt(mid_x)}" y="24" font-size="14" text-anchor="middle" fill="#000">{title}</text>'
         )
 
 
@@ -197,7 +194,6 @@ def line_chart(
     series: list[tuple[str, np.ndarray]],
     x_label: str = "",
     y_label: str = "",
-    title: str = "",
 ) -> str:
     """Polyline chart of one or more series over a shared x axis."""
     x = np.asarray(x, dtype=float)
@@ -225,7 +221,7 @@ def line_chart(
             ly = _MARGIN_T + 14 + 14 * idx
             body.append(f'<line x1="{frame.px_hi - 110}" y1="{ly - 4}" x2="{frame.px_hi - 90}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
             body.append(f'<text x="{frame.px_hi - 84}" y="{ly}" font-size="11" fill="#333">{label}</text>')
-    _axes(parts, frame, x_label, y_label, title)
+    _axes(parts, frame, x_label, y_label)
     parts.extend(body)
     return _svg(parts, (frame.x_lo, frame.x_hi), (frame.y_lo, frame.y_hi))
 
@@ -250,7 +246,6 @@ def heatmap(
     values: np.ndarray,
     x_label: str = "",
     y_label: str = "",
-    title: str = "",
 ) -> str:
     """Cell heatmap of values[row, col] over (y[row], x[col]), y ascending upward."""
     x = np.asarray(x, dtype=float)
@@ -280,6 +275,6 @@ def heatmap(
         # Row 0 is the lowest y value; draw it at the bottom.
         py = frame.py_lo - (r + 1) * cell_h
         body.extend(map(f'<rect x="{{}}" y="{_fmt(py)}" {size} fill="#{{:06x}}"/>'.format, xs, row))
-    _axes(parts, frame, x_label, y_label, title)
+    _axes(parts, frame, x_label, y_label)
     # Cells first so the axis frame stays visible on top.
     return _svg(body + parts, (frame.x_lo, frame.x_hi), (frame.y_lo, frame.y_hi))

@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import DriveParams, EmitterParams, _eigensystems, _reduced_matrices
 from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, lorentz_sum
+from .spectrum import _check_workers
 
 # perfbench/layers.py wraps these per-triplet names in this namespace; the sweeps do not call them.
 from .core import diagonalize, reduced_hamiltonian  # noqa: F401
@@ -189,8 +190,10 @@ def temperature_series(
 
     All temperatures are evaluated as one array.  workers (an int >= 1, or
     None for no cap) caps the threads of the Lorentzian kernel's row
-    blocks; the result does not depend on it.
+    blocks; the result does not depend on it.  A bad workers is refused
+    before anything is solved.
     """
+    _check_workers(workers)
     f = line_widths(model, [float(t) for t in temps])
     if not f.size:
         raise ValueError("temps must not be empty")
@@ -214,8 +217,9 @@ def intensity_map(
     Row r equals a standalone spectrum computed at delta_axis[r].  All rows
     are evaluated as one array.  workers (an int >= 1, or None for no cap)
     caps the threads of the Lorentzian kernel's row blocks; the result does
-    not depend on it.
+    not depend on it.  A bad workers is refused before anything is solved.
     """
+    _check_workers(workers)
     deltas = delta_range.values()
     f = line_widths(model, [temp_k])
     _, a, lum = _solved(emitter, drive, deltas)

@@ -30,7 +30,7 @@ def strong_drive(delta: float, t: float = 0.1, g_sqrt_n: float = 0.1):
     e_xd = hw_l = 1 eV with e0 = 0 puts the laser exactly on resonance;
     n = 100 with g chosen so g*sqrt(n) hits the requested coupling.
     """
-    emitter = EmitterParams(e_xd=1.0, delta=delta, t=t, mu=1.0, d=10.0, e0=0.0)
+    emitter = EmitterParams(e_xd=1.0, delta=delta, t=t, mu=1.0, e0=0.0)
     drive = DriveParams(n=100, g=g_sqrt_n / 10.0, hw_l=1.0)
     return emitter, drive
 

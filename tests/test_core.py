@@ -25,7 +25,6 @@ def test_reduced_hamiltonian_strong_drive_point():
     h = reduced_hamiltonian(emitter, drive)
     expected = np.array([[0.0, 0.1, 0.0], [0.1, 0.0, 0.1], [0.0, 0.1, 0.0]])
     assert np.allclose(h.m, expected, rtol=0.0, atol=1e-15)
-    assert h.e_ref == 1.0 + 99 * 1.0
 
 
 def test_reduced_hamiltonian_zero_couplings_is_diagonal():
@@ -63,7 +62,7 @@ def test_diagonalize_degenerate_closed_form():
 
 
 def test_diagonalize_diagonal_input_degenerate():
-    h = TripletHamiltonian(m=np.diag([0.0, 0.0, 5.0]), e_ref=0.0)
+    h = TripletHamiltonian(m=np.diag([0.0, 0.0, 5.0]))
     ds = diagonalize(h)
     assert np.array_equal(ds.energies, [0.0, 0.0, 5.0])
     # Identity up to row permutation and the sign rule.
@@ -74,7 +73,7 @@ def test_diagonalize_diagonal_input_degenerate():
 
 def test_diagonalize_two_level_decoupled_limit():
     m = np.array([[0.0, 0.1, 0.0], [0.1, 0.0, 0.1], [0.0, 0.1, 5.0]])
-    ds = diagonalize(TripletHamiltonian(m=m, e_ref=0.0))
+    ds = diagonalize(TripletHamiltonian(m=m))
     assert ds.energies[0] == pytest.approx(-0.1, abs=5e-3)
     assert ds.energies[1] == pytest.approx(0.1, abs=5e-3)
     # Cross-check against companion-matrix roots of the characteristic polynomial.
@@ -89,7 +88,7 @@ def test_eigensolver_residual_and_identities_randomized():
         gsn = rng.uniform(0.0, 0.5)
         dl = rng.uniform(-0.1, 0.1)
         m = np.array([[dl, gsn, 0.0], [gsn, 0.0, t], [0.0, t, delta]])
-        ds = diagonalize(TripletHamiltonian(m=m, e_ref=0.0))
+        ds = diagonalize(TripletHamiltonian(m=m))
         scale = max(1.0, np.abs(m).max())
         for lam, row in zip(ds.energies, ds.coeffs):
             assert np.abs(m @ row - lam * row).max() <= 1e-10 * scale
@@ -174,8 +173,6 @@ def test_emitter_params_validation():
     with pytest.raises(ValueError):
         EmitterParams(e_xd=1.0, delta=0.0, t=0.1, mu=0.0)
     with pytest.raises(ValueError):
-        EmitterParams(e_xd=1.0, delta=0.0, t=0.1, d=-1.0)
-    with pytest.raises(ValueError):
         EmitterParams(e_xd=1.0, delta=math.inf, t=0.1)
 
 
@@ -196,20 +193,20 @@ def test_drive_params_validation():
 
 def test_triplet_hamiltonian_validation():
     with pytest.raises(ValueError):
-        TripletHamiltonian(m=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), e_ref=0.0)
+        TripletHamiltonian(m=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
-        TripletHamiltonian(m=np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]), e_ref=0.0)
+        TripletHamiltonian(m=np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]))
 
 
 def test_dressed_triplet_validation():
     with pytest.raises(ValueError):
-        DressedTriplet(energies=np.array([1.0, 0.0, 2.0]), coeffs=np.eye(3), e_ref=0.0)
+        DressedTriplet(energies=np.array([1.0, 0.0, 2.0]), coeffs=np.eye(3))
     with pytest.raises(ValueError):
-        DressedTriplet(energies=np.array([0.0, 1.0, 2.0]), coeffs=2.0 * np.eye(3), e_ref=0.0)
+        DressedTriplet(energies=np.array([0.0, 1.0, 2.0]), coeffs=2.0 * np.eye(3))
     bad_sign = np.eye(3)
     bad_sign[1, 1] = -1.0
     with pytest.raises(ValueError):
-        DressedTriplet(energies=np.array([0.0, 1.0, 2.0]), coeffs=bad_sign, e_ref=0.0)
+        DressedTriplet(energies=np.array([0.0, 1.0, 2.0]), coeffs=bad_sign)
 
 
 def test_dressed_triplet_is_immutable():

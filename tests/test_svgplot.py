@@ -215,7 +215,7 @@ def _reference_heatmap(x, y, values):
                 f'height="{svgplot._fmt(cell_h + 0.5)}" fill="{color}"/>'
             )
     parts = []
-    svgplot._axes(parts, frame, "", "", "")
+    svgplot._axes(parts, frame, "", "")
     return svgplot._svg(body + parts, (frame.x_lo, frame.x_hi), (frame.y_lo, frame.y_hi))
 
 

@@ -162,9 +162,7 @@ class TestIntensityMap:
         grid = GridSpec(-0.35, 0.35, 401)
         rng = SweepRange(lo=0.0, hi=0.02, steps=3)
         base = intensity_map(rng, grid, emitter, drive, _model())
-        doubled_emitter = EmitterParams(
-            e_xd=emitter.e_xd, delta=emitter.delta, t=emitter.t, mu=2.0, d=emitter.d, e0=emitter.e0
-        )
+        doubled_emitter = EmitterParams(e_xd=emitter.e_xd, delta=emitter.delta, t=emitter.t, mu=2.0, e0=emitter.e0)
         doubled = intensity_map(rng, grid, doubled_emitter, drive, _model())
         assert np.allclose(doubled.values, 4.0 * base.values, rtol=1e-12, atol=0.0)
 
@@ -205,13 +203,18 @@ class TestIntensityMap:
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
-def test_bad_workers_rejected(workers):
+def test_bad_workers_rejected(workers, monkeypatch):
+    solved = []
+    real = sweep._eigensystems
+    monkeypatch.setattr(sweep, "_eigensystems", lambda m: solved.append(len(m)) or real(m))
+    monkeypatch.setattr(sweep, "_kept", ())  # no kept sweep, so a solve before the check would show
     emitter, drive = strong_drive(delta=0.0)
     grid = GridSpec(-0.35, 0.35, 11)
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
         intensity_map(SweepRange(0.0, 0.06, 3), grid, emitter, drive, _model(), workers=workers)
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
         temperature_series([5.0], emitter, drive, _model(), grid, workers=workers)
+    assert solved == []  # refused before anything is solved
 
 
 def _uncached(emitter, drive, deltas):
