@@ -4,9 +4,9 @@ Subcommands: spectrum, transitions, branches, map, tempseries, plot.
 Exit codes: 0 success, 1 configuration or input error, 2 I/O error.
 CSV floats are the text repr gives, the shortest round-trip decimal form,
 so re-parsing a file reproduces the computed values exactly and repeated
-runs are byte identical.  Tables are formatted a column at a time, and
-every output is written to a temp file beside its target and renamed into
-place.
+runs are byte identical.  A table is formatted straight to bytes, one
+orjson call per block of rows, and every output is written in binary to a
+temp file beside its target and renamed into place.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import functools
 import io
 import os
 import sys
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -41,7 +41,8 @@ TRANSITIONS_HEADER = ["i", "j", "kind", "delta_prime_ev", "luminosity", "hwhm_ev
 BRANCHES_HEADER = ["delta_ev", "i", "j", "delta_prime_ev"]
 MAP_HEADER = ["delta_ev", "delta_prime_ev", "intensity"]
 
-_ROWS_PER_CHUNK = 1024
+_CELLS_PER_CHUNK = 1 << 12
+_COMMA, _NEWLINE = ord(","), ord("\n")
 _TEXT_PIECE = 1 << 16
 _MAX_CELL = 32  # the longest cell orjson parses for plot: it misrounds some far longer decimals
 _NUMBER_BYTES = b"0123456789.eE+-"
@@ -54,42 +55,70 @@ class _CliError(Exception):
         super().__init__(message)
 
 
-def _column(values) -> list[str]:
-    """Text of a float column, cell for cell the repr of each value: the shortest string that round-trips.
+def _csv_lines(table: np.ndarray, prefix: bytes, ints: tuple[int, ...]) -> bytes:
+    """CSV lines of a (rows, columns) float block: each cell the repr of its value, each line led by prefix.
 
-    orjson writes the same shortest digits, and inside 1e-4 <= |v| < 1e16 the
-    same notation as repr.  Outside it (zeros, subnormals, NaN and inf among
-    them) the notation differs, e.g. 1e-5 for repr's 1e-05, so those cells
-    are written by repr.
+    orjson writes the whole block, row after row, in one call.  Its digits are
+    repr's shortest round-trip digits, and at +-0 and inside 1e-4 <= |v| < 1e16
+    its notation is repr's too.  The comma after each row's last cell is set
+    to a newline in the byte buffer.  The columns in ints (ascending) hold
+    whole numbers below 1e16, whose cells lose orjson's trailing '.0'.  The
+    few other cells (subnormals, tiny and huge values, NaN and inf), where
+    orjson's notation differs (1e-5 for 1e-05, null for NaN), are replaced by
+    repr's text.
     """
-    values = np.ascontiguousarray(values, dtype=float)
-    if not values.size:
-        return []
-    cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    size = np.abs(values)
-    odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)))  # NaN fails both tests
-    for i, value in zip(odd.tolist(), values[odd].tolist()):
-        cells[i] = repr(value)
-    return cells
+    values = np.ascontiguousarray(table, dtype=float)
+    rows, cols = values.shape
+    flat = values.ravel()
+    text = np.frombuffer(bytearray(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)), np.uint8)
+    text[-1] = _COMMA  # "[v,...,v]" becomes "[v,...,v,": every cell ends at a comma
+    ends = np.flatnonzero(text == _COMMA)
+    text[ends[cols - 1 :: cols]] = _NEWLINE
+    if ints:
+        keep = np.ones(text.size, bool)
+        cut = ends.reshape(rows, cols)[:, list(ints)]
+        keep[0] = False
+        keep[cut - 2] = keep[cut - 1] = False
+        body = text[keep].tobytes()
+    else:
+        body = text[1:].tobytes()
+    size = np.abs(flat)
+    odd = np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (size == 0.0)))  # NaN fails every test
+    if odd.size:
+        # The bytes cut before each odd cell: the bracket, and the '.0' of each integer cell.
+        shift = 1 + 2 * (odd // cols * len(ints) + np.searchsorted(ints, odd % cols))
+        starts = np.where(odd > 0, ends[odd - 1] + 1, 1) - shift
+        view = memoryview(body)
+        pieces = []
+        done = 0
+        for start, end, value in zip(starts.tolist(), (ends[odd] - shift).tolist(), flat[odd].tolist()):
+            pieces += (view[done:start], repr(value).encode())
+            done = end
+        pieces.append(view[done:])
+        body = b"".join(pieces)
+    if prefix:
+        body = prefix + body[:-1].replace(b"\n", b"\n" + prefix) + b"\n"
+    return body
 
 
-def _csv(header: list[str], blocks: Iterable[tuple[Iterable[str], ...]]) -> Iterator[str]:
-    """CSV text in chunks: the header line, then the rows of each block of text columns.
+def _csv_bytes(
+    header: list[str], blocks: Iterable[tuple[bytes, np.ndarray]], ints: tuple[int, ...] = ()
+) -> Iterator[bytes]:
+    """CSV bytes in chunks: the header line, then the lines of each (prefix, float table) block.
 
-    No field ever needs quoting (floats, integers and the line kinds), so a
-    row is its fields joined by commas, and every line ends in a newline.
-    Rows are joined _ROWS_PER_CHUNK at a time, so the text held at once stays
-    small: the whole file as one string would set the process's peak memory.
+    No field ever needs quoting (floats, integers and the line kinds), and
+    every line ends in a newline.  A block is formatted _CELLS_PER_CHUNK cells
+    at a time, so the bytes held at once stay small however long the file is.
     """
-    yield ",".join(header) + "\n"
-    for columns in blocks:
-        rows = map(",".join, zip(*columns))
-        while text := "\n".join(islice(rows, _ROWS_PER_CHUNK)):
-            yield text + "\n"
+    yield (",".join(header) + "\n").encode()
+    for prefix, table in blocks:
+        step = max(1, _CELLS_PER_CHUNK // table.shape[1])
+        for start in range(0, len(table), step):
+            yield _csv_lines(table[start : start + step], prefix, ints)
 
 
-def _write_files(files: dict[Path, Iterable[str]]) -> None:
-    """Write each file's text chunks to a temp file beside it, then rename all into place.
+def _write_files(files: dict[Path, Iterable[bytes]]) -> None:
+    """Write each file's byte chunks to a temp file beside it, then rename all into place.
 
     Nothing is renamed before every file is written, and the temp files are
     removed on any failure, so a command never leaves a partial set of outputs.
@@ -105,7 +134,7 @@ def _write_files(files: dict[Path, Iterable[str]]) -> None:
                 raise OSError(f"{target} is not a regular file")
             tmp = target.parent / f".{target.name}.{os.getpid()}.tmp"
             pending[tmp] = target
-            with open(tmp, "w", newline="") as fh:
+            with open(tmp, "wb") as fh:
                 fh.writelines(chunks)
         for tmp, path in list(pending.items()):
             os.replace(tmp, path)
@@ -134,8 +163,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     # A spectrum is the one-temperature case of tempseries.
     (grid,) = temperature_series([cfg.temp_k], cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
-    columns = (_column(grid.delta_prime), _column(grid.intensity))
-    _write_files({Path(args.out or "spectrum.csv"): _csv(SPECTRUM_HEADER, [columns])})
+    table = np.column_stack((grid.delta_prime, grid.intensity))
+    _write_files({Path(args.out or "spectrum.csv"): _csv_bytes(SPECTRUM_HEADER, [(b"", table)])})
     return 0
 
 
@@ -146,24 +175,21 @@ def cmd_transitions(args: argparse.Namespace) -> int:
     a, lum = line_table(*dressed_states(emitter, cfg.drive(), [emitter.delta]), cfg.mu)
     f = line_widths(cfg.broadening(), [cfg.temp_k])
     lorentz_terms(a, lum, f)  # refuses an intensity lum / f that overflows, as a spectrum of these lines would
-    columns = (
-        [f"{i},{j},{CENTRAL if i == j else SIDE}" for i, j in BRANCH_LABELS],
-        *(_column(table[0]) for table in (a, lum, f, lum / f)),
-    )
-    _write_files({Path(args.out or "transitions.csv"): _csv(TRANSITIONS_HEADER, [columns])})
+    table = np.column_stack((a[0], lum[0], f[0], lum[0] / f[0]))
+    # One block per line: its i, j and kind lead the row as a text prefix.
+    blocks = [
+        (f"{i},{j},{CENTRAL if i == j else SIDE},".encode(), row[None]) for (i, j), row in zip(BRANCH_LABELS, table)
+    ]
+    _write_files({Path(args.out or "transitions.csv"): _csv_bytes(TRANSITIONS_HEADER, blocks)})
     return 0
 
 
 def cmd_branches(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     table = transition_branches(cfg.delta_range(), cfg.emitter(), cfg.drive())
-    labels = [f"{i},{j}" for i, j in BRANCH_LABELS]
-    columns = (
-        [delta for delta in _column(table.delta) for _ in labels],
-        labels * table.delta.size,
-        _column(table.a.ravel()),
-    )
-    _write_files({Path(args.out or "branches.csv"): _csv(BRANCHES_HEADER, [columns])})
+    labels = np.tile(BRANCH_LABELS, (table.delta.size, 1))
+    rows = np.column_stack((np.repeat(table.delta, len(BRANCH_LABELS)), labels, table.a.ravel()))
+    _write_files({Path(args.out or "branches.csv"): _csv_bytes(BRANCHES_HEADER, [(b"", rows)], ints=(1, 2))})
     return 0
 
 
@@ -177,13 +203,12 @@ def cmd_map(args: argparse.Namespace) -> int:
         cfg.broadening(),
         temp_k=cfg.temp_k,
     )
-    dps = _column(result.dp_axis)
-    # One block per splitting row: only one row of values is formatted at a time.
+    # One block per splitting row, its delta cell written once as the prefix of every line.
     blocks = (
-        (repeat(delta), dps, _column(row))
-        for delta, row in zip(_column(result.delta_axis), result.values)
+        (f"{delta!r},".encode(), np.column_stack((result.dp_axis, row)))
+        for delta, row in zip(result.delta_axis.tolist(), result.values)
     )
-    _write_files({Path(args.out or "map.csv"): _csv(MAP_HEADER, blocks)})
+    _write_files({Path(args.out or "map.csv"): _csv_bytes(MAP_HEADER, blocks)})
     return 0
 
 
@@ -209,9 +234,9 @@ def cmd_tempseries(args: argparse.Namespace) -> int:
         paths[path] = temp
     grids = temperature_series(temps, cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
     # Every spectrum of the series shares one detuning grid.
-    dps = _column(grids[0].delta_prime)
+    dps = grids[0].delta_prime
     _write_files({
-        path: _csv(SPECTRUM_HEADER, [(dps, _column(grid.intensity))])
+        path: _csv_bytes(SPECTRUM_HEADER, [(b"", np.column_stack((dps, grid.intensity)))])
         for path, grid in zip(paths, grids)
     })
     return 0
@@ -363,7 +388,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     else:
         raise _CliError(1, f"{path}: schema mismatch: header {header!r} does not fit kind {args.kind!r}")
 
-    _write_files({out: [svg]})
+    _write_files({out: [svg.encode()]})
     return 0
 
 

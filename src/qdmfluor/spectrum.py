@@ -205,9 +205,9 @@ def line_table(energies: np.ndarray, coeffs: np.ndarray, mu: float) -> tuple[np.
         a = energies[:, _UPPER] - energies[:, _LOWER]
     if not np.isfinite(a).all():
         raise ValueError("line positions a = E_i - E_j must be finite; the dressed-energy spread overflows")
-    # Square through Python floats: float ** 2 is libm pow, which differs
-    # from x * x (and np.square) in the last bit for some x.
-    sq = (coeffs[:, :, :2].astype(object) ** 2).astype(float)
+    # float_power calls libm pow per element, as Python's float ** 2 does;
+    # x * x, np.square and np.power differ from it in the last bit for some x.
+    sq = np.float_power(coeffs[:, :, :2], 2.0)
     lum = mu * mu * sq[:, _LOWER, 0] * sq[:, _UPPER, 1]
     if not np.isfinite(lum).all():
         raise ValueError("luminosities must be finite")

@@ -145,26 +145,60 @@ def test_outputs_match_per_cell_reference(text, tmp_path):
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_LABELS = st.integers(-(10**15), 10**15)  # whole numbers, as branches writes its i and j
 
 
-@settings(max_examples=60, deadline=None)
-@given(columns=st.integers(1, 30).flatmap(lambda n: st.tuples(
-    st.lists(_FLOATS, min_size=n, max_size=n), st.lists(_FLOATS, min_size=n, max_size=n))))
-@example(columns=([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0],
-                  [1e-5, 1e-4, 0.0001, 9.999999999999999e-05, 1.7976931348623157e308, -1e300]))
-# Long enough to span three of the writer's row chunks.
-@example(columns=(np.linspace(-1.0, 1.0, 2 * cli._ROWS_PER_CHUNK + 1).tolist(),
-                  [float(k) for k in range(2 * cli._ROWS_PER_CHUNK + 1)]))
-def test_written_csv_reparses_to_the_same_floats(tmp_path_factory, columns):
+@st.composite
+def _written_tables(draw):
+    """(columns, ints, prefix): 1 to 4 float columns of one length; or branches' delta, i, j, a, with
+    whole-number i and j columns; or map rows, whose first column is one value written as the lines' prefix."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["floats", "branches", "map"]))
+    if kind == "branches":
+        delta, a = (draw(st.lists(_FLOATS, min_size=n, max_size=n)) for _ in range(2))
+        i, j = (draw(st.lists(_LABELS, min_size=n, max_size=n)) for _ in range(2))
+        return [delta, i, j, a], (1, 2), None
+    # A map row's prefix column is one of its 2 to 4 columns.
+    columns = [draw(st.lists(_FLOATS, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 4)))]
+    if kind == "floats":
+        return columns, (), None
+    delta = draw(_FLOATS)
+    return [[delta] * n, *columns[:3]], (), delta
+
+
+_LONG = cli._CELLS_PER_CHUNK + 1  # rows: three of the writer's chunks at two columns, five at four
+
+
+@settings(max_examples=90, deadline=None)
+@given(table=_written_tables())
+@example(table=([[-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0],
+                 [1e-5, 1e-4, 0.0001, 9.999999999999999e-05, 1.7976931348623157e308, -1e300]], (), None))
+@example(table=([np.linspace(-1.0, 1.0, _LONG).tolist(), [float(k) for k in range(_LONG)]], (), None))
+@example(table=([[0.5]], (), None))
+@example(table=([[1e-7, 0.25], [0.0, -0.0], [1e20, 3.0], [-2.5e-5, 7.0]], (), None))
+# branches' rows: every splitting with the nine (i, j) labels, the central lines at a = 0.
+@example(table=([np.repeat([0.0, 1e-5, 0.03], 9).tolist(), [i for _ in range(3) for i, _ in BRANCH_LABELS],
+                 [j for _ in range(3) for _, j in BRANCH_LABELS], [0.0, -0.1, 1e-6] * 9], (1, 2), None))
+@example(table=([[1.5] * _LONG, [1] * _LONG, [-7] * _LONG, np.linspace(-1e-3, 1e-3, _LONG).tolist()], (1, 2), None))
+# map rows: the splitting written once per line as its prefix, over several chunks, and as repr's odd notation.
+@example(table=([[0.0] * _LONG, np.linspace(-0.35, 0.35, _LONG).tolist(), np.linspace(0.0, 1e-4, _LONG).tolist()],
+                (), 0.0))
+@example(table=([[-1e-5], [0.5]], (), -1e-5))
+def test_written_csv_reparses_to_the_same_floats(tmp_path_factory, table):
     # The CSV contract: any finite float column written by the CLI reads back bit for bit.
+    columns, ints, prefix = table
     path = tmp_path_factory.mktemp("roundtrip") / "t.csv"
-    cli._write_files({path: cli._csv(cli.SPECTRUM_HEADER, [tuple(map(cli._column, columns))])})
-    assert path.read_bytes() == _reference_csv(cli.SPECTRUM_HEADER, [list(map(_r, row)) for row in zip(*columns)])
+    header = [f"c{k}" for k in range(len(columns))]
+    body = np.array(columns, dtype=float).T
+    block = (b"", body) if prefix is None else (f"{prefix!r},".encode(), body[:, 1:])
+    cli._write_files({path: cli._csv_bytes(header, [block], ints)})
+    rows = [[cell if k in ints else _r(cell) for k, cell in enumerate(row)] for row in zip(*columns)]
+    assert path.read_bytes() == _reference_csv(header, rows)
     _assert_reparses_bitwise(path, dict(enumerate(columns)))
     # plot's reader gives the same bits as float() on every field.
-    header, table = cli._read_table(path)
-    assert header == cli.SPECTRUM_HEADER
-    assert table.tobytes() == np.array(columns, dtype=float).T.tobytes()
+    read_header, read = cli._read_table(path)
+    assert read_header == header
+    assert read.tobytes() == body.tobytes()
 
 
 def _read_outcome(path):
@@ -287,8 +321,14 @@ _READ_ONLY_MAP.setflags(write=False)
 @example(values=np.linspace(-1.0, 1.0, 11)[::2])
 @example(values=_READ_ONLY_MAP[1])
 @example(values=np.array([0.1, 1e-5, 3.4e38, 1e-45, np.nan], dtype=np.float32))
-def test_column_is_repr_of_each_value(values):
-    assert cli._column(values) == list(map(repr, np.asarray(values, dtype=float).tolist()))
+def test_each_written_cell_is_repr_of_its_value(values):
+    # One column, and two (the second reversed): every cell's bytes are repr's text of its value as a float.
+    values = np.asarray(values)
+    cells = list(map(repr, values.astype(float).tolist()))
+    one = b"".join(cli._csv_bytes(["v"], [(b"", values[:, None])]))
+    assert one == "".join(f"{cell}\n" for cell in ["v", *cells]).encode()
+    two = b"".join(cli._csv_bytes(["v", "w"], [(b"", np.column_stack((values, values[::-1])))]))
+    assert two == "".join(f"{a},{b}\n" for a, b in [("v", "w"), *zip(cells, cells[::-1])]).encode()
 
 
 def test_spectrum_roundtrip_and_exit_code(cfg_path, tmp_path):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdmfluor import (
@@ -108,6 +108,23 @@ class TestTransitions:
                 line_table(energies, coeffs, 1.0)
             with pytest.raises(ValueError, match="^dipole scale mu must be non-negative with a finite square"):
                 line_table(energies, coeffs, 1e200)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    @example(values=[0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
+    @example(values=[2.2250738585072014e-308, -1e-300, 1.5e-154, 0.7071067811865476, 0.9999999999999999, 1e-4])
+    # Values whose x * x differs from float ** 2 in the last bit.
+    @example(values=[0.3493787908695549, -0.803434124030634, -0.39464743475060593, -0.8450838257706985,
+                     -0.8584462047366135, -0.6730968242491282])
+    def test_line_table_squares_are_python_float_squares(self, values):
+        # With mu = 1 and the other factor +-1, each luminosity is one squared coefficient, bit for bit float ** 2.
+        coeffs = np.ones((2, 3, 3))
+        coeffs[0, :, 0] = values[:3]  # C_g of each lower state j
+        coeffs[1, :, 1] = values[3:]  # C_XD of each upper state i
+        coeffs[0, 1, 1] = coeffs[1, 2, 0] = -1.0
+        _, lum = line_table(np.zeros((2, 3)), coeffs, 1.0)
+        want = [[values[j - 1] ** 2 for _, j in BRANCH_LABELS], [values[2 + i] ** 2 for i, _ in BRANCH_LABELS]]
+        assert lum.tobytes() == np.array(want).tobytes()
 
     def test_rejects_bad_mu(self):
         emitter, drive = strong_drive(delta=0.0)
