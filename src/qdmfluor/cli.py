@@ -26,7 +26,7 @@ import orjson
 
 from .config import DEFAULT_TEMPS, ConfigError, RunConfig, parse_config
 from .core import dressed_states
-from .spectrum import CENTRAL, SIDE, line_table, line_widths, lorentz_terms
+from .spectrum import _KINDS, line_table, line_widths, lorentz_terms
 from .sweep import BRANCH_LABELS, intensity_map, temperature_series, transition_branches
 from . import svgplot
 
@@ -152,6 +152,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         text = Path(args.config).read_text()
     except OSError as exc:
         raise _CliError(2, f"cannot read config {args.config}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(1, f"config error: {exc}") from exc
     try:
         cfg = parse_config(text)
     except ConfigError as exc:
@@ -177,9 +179,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
     lorentz_terms(a, lum, f)  # refuses an intensity lum / f that overflows, as a spectrum of these lines would
     table = np.column_stack((a[0], lum[0], f[0], lum[0] / f[0]))
     # One block per line: its i, j and kind lead the row as a text prefix.
-    blocks = [
-        (f"{i},{j},{CENTRAL if i == j else SIDE},".encode(), row[None]) for (i, j), row in zip(BRANCH_LABELS, table)
-    ]
+    blocks = [(f"{i},{j},{kind},".encode(), row[None]) for (i, j), kind, row in zip(BRANCH_LABELS, _KINDS, table)]
     _write_files({Path(args.out or "transitions.csv"): _csv_bytes(TRANSITIONS_HEADER, blocks)})
     return 0
 
@@ -301,27 +301,13 @@ def _read_plain_table(fh) -> tuple[list[str], np.ndarray] | None:
 
 def _load_table(fh, path: Path) -> tuple[list[str], np.ndarray]:
     """The header fields and body of a text file by numpy.loadtxt, which words every refusal."""
-    lines = 0  # the body's lines read so far
-
-    def body(piece: str) -> Iterator[str]:
-        """The body's lines, read in pieces of about _TEXT_PIECE characters that end at a line end.
-
-        Each piece's lines are counted with str.count as it passes.  A piece
-        is split into lines by a StringIO, which holds its text at 4 bytes per
-        character, so the pieces stay small however long the file is.
-        """
-        nonlocal lines
-        while piece:
-            lines += piece.count("\n") + (not piece.endswith("\n"))
-            yield from io.StringIO(piece)
-            piece = fh.read(_TEXT_PIECE) + fh.readline()
-
     header = fh.readline().rstrip("\n").split(",")
     start = fh.tell()
-    piece = fh.read(_TEXT_PIECE) + fh.readline()
-    if piece[:1] in ("", "\n"):  # loadtxt skips a blank line, and warns when it finds no data
+    if fh.readline() in ("", "\n"):  # loadtxt skips a blank line, and warns when it finds no data
         raise _CliError(1, f"{path}: schema mismatch: no row on line 2")
-    table = np.loadtxt(body(piece), delimiter=",", comments=None, ndmin=2)
+    lines = 1 + sum(1 for _ in fh)  # the body's lines; text mode reads CR and CRLF line ends as newlines
+    fh.seek(start)
+    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if table.shape != (lines, len(header)):  # a blank line, or rows of another length
         raise _CliError(1, f"{path}: schema mismatch: need one row of {len(header)} fields on every line")
     finite = np.isfinite(table)
@@ -362,6 +348,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
     out = Path(args.out or path.with_suffix(".svg"))
 
     if header == SPECTRUM_HEADER and args.kind == "line":
+        if len(table) < 2:
+            raise _CliError(1, f"{path}: schema mismatch: a line chart needs at least two rows")
         x, y = table.T
         svg = svgplot.line_chart(x, [("", y)], x_label="delta_prime (eV)", y_label="intensity (arb.)")
     elif header == BRANCHES_HEADER and args.kind == "line":
@@ -370,6 +358,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         rows = table[: len(table) // n * n].reshape(-1, n, 4)
         if len(table) % n or not ((rows[..., 1:3] == BRANCH_LABELS).all() and (rows[..., 0] == rows[:, :1, 0]).all()):
             raise _CliError(1, f"{path}: schema mismatch: rows are not nine per splitting in (i,j) order {BRANCH_LABELS}")
+        if len(rows) < 2:
+            raise _CliError(1, f"{path}: schema mismatch: a line chart needs at least two splittings")
         series = [(f"E{i}{j}", rows[:, k, 3]) for k, (i, j) in enumerate(BRANCH_LABELS)]
         svg = svgplot.line_chart(rows[:, 0, 0], series, x_label="delta (eV)", y_label="delta_prime (eV)")
     elif header == MAP_HEADER and args.kind == "heatmap":

@@ -48,7 +48,6 @@ __all__ = [
     "line_table",
     "transitions",
     "linewidth",
-    "hwhm",
     "line_widths",
     "lorentz_terms",
     "lorentz_sum",
@@ -201,14 +200,14 @@ def line_table(energies: np.ndarray, coeffs: np.ndarray, mu: float) -> tuple[np.
     """
     if not math.isfinite(mu * mu) or mu < 0.0:  # each luminosity is mu * mu times at most 1
         raise ValueError(f"dipole scale mu must be non-negative with a finite square, got {mu!r}")
-    with np.errstate(over="ignore"):  # refused below, with a message that names the line positions
+    with np.errstate(over="ignore"):  # refused below, with a message that names the quantity
         a = energies[:, _UPPER] - energies[:, _LOWER]
+        # float_power calls libm pow per element, as Python's float ** 2 does;
+        # x * x, np.square and np.power differ from it in the last bit for some x.
+        sq = np.float_power(coeffs[:, :, :2], 2.0)
+        lum = mu * mu * sq[:, _LOWER, 0] * sq[:, _UPPER, 1]
     if not np.isfinite(a).all():
         raise ValueError("line positions a = E_i - E_j must be finite; the dressed-energy spread overflows")
-    # float_power calls libm pow per element, as Python's float ** 2 does;
-    # x * x, np.square and np.power differ from it in the last bit for some x.
-    sq = np.float_power(coeffs[:, :, :2], 2.0)
-    lum = mu * mu * sq[:, _LOWER, 0] * sq[:, _UPPER, 1]
     if not np.isfinite(lum).all():
         raise ValueError("luminosities must be finite")
     return a, lum
@@ -233,21 +232,10 @@ def linewidth(model: BroadeningModel, temp_k: float) -> float:
     return model.gamma0 + model.a_coef * temp_k + optical
 
 
-def hwhm(kind: str, gamma_pop: float, gamma_rad: float) -> float:
-    """Half width at half maximum of one peak (eV).
-
-    Central peaks broaden as Gamma/2, side peaks as the average of the
-    population and radiative rates, (Gamma + gamma)/2.
-    """
-    if not (math.isfinite(gamma_pop) and gamma_pop > 0.0):
-        raise ValueError(f"gamma_pop must be positive, got {gamma_pop!r}")
-    if not (math.isfinite(gamma_rad) and gamma_rad > 0.0):
-        raise ValueError(f"gamma_rad must be positive, got {gamma_rad!r}")
-    if kind == CENTRAL:
-        return gamma_pop / 2.0
-    if kind == SIDE:
-        return (gamma_pop + gamma_rad) / 2.0
-    raise ValueError(f"unknown peak kind {kind!r}")
+def _half_widths(kinds, gamma_pop: float, gamma_rad: float) -> list[float]:
+    """Half widths (eV) of lines of the given kinds: Gamma/2 for a central line, (Gamma + gamma)/2 for a side line."""
+    central, side = gamma_pop / 2.0, (gamma_pop + gamma_rad) / 2.0
+    return [central if kind == CENTRAL else side for kind in kinds]
 
 
 def line_widths(model: BroadeningModel, temps: list[float]) -> np.ndarray:
@@ -259,12 +247,13 @@ def line_widths(model: BroadeningModel, temps: list[float]) -> np.ndarray:
     rows = []
     for temp in temps:
         gamma = linewidth(model, temp)
-        central, side = gamma / 2.0, (gamma + model.gamma_rad) / 2.0  # the narrowest and the widest line
+        row = _half_widths(_KINDS, gamma, model.gamma_rad)
+        central, side = min(row), max(row)  # the narrowest and the widest line
         if not math.isfinite(side * side):
             raise ValueError(f"line widths overflow at temperature {temp!r} K (Gamma(T) = {gamma!r} eV)")
         if not central * central > 0.0:
             raise ValueError(f"line widths underflow at temperature {temp!r} K (Gamma(T) = {gamma!r} eV)")
-        rows.append([central if kind == CENTRAL else side for kind in _KINDS])  # the bits of hwhm(kind, ...)
+        rows.append(row)
     return np.array(rows)
 
 
@@ -287,38 +276,6 @@ def lorentz_terms(a, lum, f, x_ends=()) -> tuple[np.ndarray, np.ndarray]:
     return scale, f2
 
 
-def _run_shares(run, n_rows: int, n_threads: int) -> None:
-    """Call run(share, first, last) on n_threads even shares of rows 0..n_rows.
-
-    Share 0 runs on the caller's thread, in the caller's context.  Every
-    other share runs on a thread of its own, in a copy of the caller's
-    context, so np.errstate carries over.  Every started thread is joined,
-    also when a share raises; then the first error is raised: the caller's
-    share's, else the earliest a thread reported.
-    """
-    bounds = [n_rows * i // n_threads for i in range(n_threads + 1)]  # share i is rows bounds[i]:bounds[i + 1]
-    errors: list[Exception] = []
-
-    def run_in_thread(share: int) -> None:
-        try:
-            run(share, bounds[share], bounds[share + 1])
-        except Exception as exc:  # handed to the caller after the join
-            errors.append(exc)
-
-    started = []
-    try:
-        for share in range(1, n_threads):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run_in_thread, share))
-            thread.start()
-            started.append(thread)
-        run(0, bounds[0], bounds[1])
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _check_workers(workers) -> None:
     """Refuse a workers cap that is not an int >= 1 or None."""
     if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
@@ -338,7 +295,10 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
     row has its denominator computed once per call.  The rows split into
     even shares for min(blocks, os.cpu_count()) threads, at most workers
     (an int >= 1; None sets no cap) of them, each summing its share in its
-    own scratch block (_run_shares; the caller's thread sums the first).
+    own scratch block: the caller's thread the first, every other a thread
+    started in a copy of the caller's context, so np.errstate carries over.
+    Every thread is joined, also when a share raises; then the first error
+    is raised, the caller's share's before those the threads reported.
     Each thread sums with numpy's ufunc buffer cut to
     min(np.getbufsize(), max(16, x.size // 16 * 16)): a buffer no longer
     than a row spares the copies that pack several short rows into it when
@@ -366,13 +326,14 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
         dens = dict(zip(shared.tolist(), shared_dens))
     n_threads = min(-(-n_rows // rows), os.cpu_count() or 1, workers or n_rows)
     bufs = np.empty((n_threads, min(rows, n_rows), x.size))  # one scratch block per thread
+    bounds = [n_rows * i // n_threads for i in range(n_threads + 1)]  # share s is rows bounds[s]:bounds[s + 1]
 
-    def run(share: int, first: int, last: int) -> None:
+    def run(share: int) -> None:
         # Put back on every thread: the size is per thread (numpy 1.x) or per context (2.x).
         old = np.setbufsize(min(np.getbufsize(), max(16, x.size // 16 * 16)))
         try:
-            for lo in range(first, last, rows):
-                hi = min(lo + rows, last)
+            for lo in range(bounds[share], bounds[share + 1], rows):
+                hi = min(lo + rows, bounds[share + 1])
                 term, out = bufs[share, : hi - lo], y[lo:hi]
                 for k in range(a.shape[1]):
                     den = dens.get(k)
@@ -387,7 +348,24 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
         finally:
             np.setbufsize(old)
 
-    _run_shares(run, n_rows, n_threads)  # shares are disjoint, and numpy releases the GIL
+    def run_in_thread(share: int) -> None:
+        try:
+            run(share)
+        except Exception as exc:  # raised by the caller after the join
+            errors.append(exc)
+
+    started, errors = [], []  # shares are disjoint, and numpy releases the GIL
+    try:
+        for share in range(1, n_threads):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run_in_thread, share))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
     return y
 
 
@@ -405,10 +383,13 @@ def synthesize(
     """
     if not trans:
         raise ValueError("transition list must not be empty")
+    for name, rate in (("gamma_pop", gamma_pop), ("gamma_rad", gamma_rad)):
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise ValueError(f"{name} must be positive, got {rate!r}")
     x = grid.values()
     a = np.array([[tr.a for tr in trans]])
     lum = np.array([[tr.lum for tr in trans]])
-    f = np.array([[hwhm(tr.kind, gamma_pop, gamma_rad) for tr in trans]])
+    f = np.array([_half_widths([tr.kind for tr in trans], gamma_pop, gamma_rad)])
     return SpectrumGrid(delta_prime=x, intensity=lorentz_sum(a, lum, f, x)[0])
 
 
@@ -422,8 +403,8 @@ def count_peaks(
     Transitions with lum < intensity_floor * max(lum) are discarded, the
     remaining positions are clustered with gap tolerance energy_tol, and the
     luminosity-weighted cluster centers are returned ascending.  Returns
-    (0, []) when every transition falls below the floor, which signals a
-    vanishing dipole scale or pathological input.
+    (0, []) when every luminosity is 0, which signals a vanishing dipole
+    scale; otherwise the floor, below 1, keeps at least the strongest line.
     """
     if not (math.isfinite(energy_tol) and energy_tol > 0.0):
         raise ValueError(f"energy_tol must be positive, got {energy_tol!r}")
@@ -437,8 +418,6 @@ def count_peaks(
         return 0, []
     threshold = intensity_floor * max_lum
     kept = [tr for tr in trans if tr.lum >= threshold] if intensity_floor > 0.0 else list(trans)
-    if not kept:
-        return 0, []
 
     kept.sort(key=lambda tr: tr.a)
     clusters: list[list[Transition]] = [[kept[0]]]

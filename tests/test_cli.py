@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from qdmfluor import (
     BRANCH_LABELS,
     diagonalize,
-    hwhm,
     intensity_map,
     linewidth,
     parse_config,
@@ -29,7 +28,7 @@ from qdmfluor import (
 from qdmfluor import cli
 from qdmfluor.cli import main
 
-from helpers import count_thread_starts
+from helpers import count_thread_starts, run_cli
 
 MINIMAL = """\
 e_xd_ev = 1.0
@@ -106,7 +105,7 @@ def test_outputs_match_per_cell_reference(text, tmp_path):
 
     out = tmp_path / "transitions.csv"
     assert main(["transitions", *base, str(out)]) == 0
-    widths = [hwhm(tr.kind, gamma, cfg.gamma_rad_ev) for tr in trans]
+    widths = [gamma / 2.0 if tr.i == tr.j else (gamma + cfg.gamma_rad_ev) / 2.0 for tr in trans]
     rows = [[tr.i, tr.j, tr.kind, _r(tr.a), _r(tr.lum), _r(w), _r(tr.lum / w)] for tr, w in zip(trans, widths)]
     assert out.read_bytes() == _reference_csv(cli.TRANSITIONS_HEADER, rows)
     _assert_reparses_bitwise(out, {3: [tr.a for tr in trans], 5: widths})
@@ -280,6 +279,10 @@ def _tables(draw):
 @example(table=(2, [(["-0", "-0.0"], "\n"), (["1e-0", "-1e-400"], "\n")]), last_newline=True, piece=7)
 @example(table=(2, [(["0.5", "1.5"], "\n")] * 6 + [(["1.0", "nan"], "\n")]), last_newline=True, piece=1)
 @example(table=(3, [(["0.0", "-0.1", "1.0"], "\n")] * 9 + [(["0.01", "-0.1", "1e999"], "\n")]), last_newline=True, piece=64)
+# Line ends the fallback counts in text mode: lone CRs, CRLF with no last newline, a blank line before the last row.
+@example(table=(2, [(["1.0", "2.0"], "\r"), (["3.0", "4.0"], "\r")]), last_newline=True, piece=1 << 16)
+@example(table=(2, [(["1.0", "2.0"], "\r\n"), (["3.0", "4.0"], "\r\n")]), last_newline=False, piece=1 << 16)
+@example(table=(2, [(["1.0", "2.0"], "\n\n"), (["3.0", "4.0"], "\n")]), last_newline=True, piece=1 << 16)
 def test_read_table_matches_loadtxt_reader(tmp_path_factory, table, last_newline, piece):
     # orjson reads what it can parse exactly; every other file gives loadtxt's values, or its code and message.
     fields, lines = table
@@ -290,6 +293,22 @@ def test_read_table_matches_loadtxt_reader(tmp_path_factory, table, last_newline
     path.write_bytes(",".join(f"c{k}" for k in range(fields)).encode() + b"\n" + body.encode())
     with mock.patch.object(cli, "_TEXT_PIECE", piece):
         assert _read_outcome(path) == _loadtxt_outcome(path)
+
+
+@pytest.mark.parametrize("body, rows", [
+    (b"1.0,2.0\r3.0,4.0\r", 2),
+    (b"1.0,2.0\r\n3.0,4.0", 2),
+    (b"1.0,2.0\r\n\r\n3.0,4.0\r\n", None),  # loadtxt skips the blank line; the line count does not
+])
+def test_read_table_counts_cr_and_crlf_lines(tmp_path, body, rows):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"c0,c1\r\n" + body)
+    if rows is None:
+        with pytest.raises(cli._CliError, match="schema mismatch: need one row of 2 fields on every line"):
+            cli._read_table(path)
+    else:
+        header, table = cli._read_table(path)
+        assert header == ["c0", "c1"] and table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_read_table_of_a_pipe_exit_2(tmp_path, capsys):
@@ -635,6 +654,21 @@ def test_bad_temps_exit_1(cfg_path, tmp_path, capsys):
     assert "--temps" in capsys.readouterr().err
 
 
+def test_temps_that_are_not_numbers_exit_1(cfg_path, tmp_path):
+    argv = ["tempseries", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv"), "--temps", "5,abc"]
+    assert run_cli(argv) == (1, "qdmfluor: bad --temps value '5,abc': could not convert string to float: 'abc'\n")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe=1\n")
+    code, err = run_cli(["spectrum", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert err.startswith("qdmfluor: config error: ") and "codec can't decode byte 0xff in position 0" in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_colliding_tempseries_names_exit_1(cfg_path, tmp_path, capsys):
     # {temp:g} renders both as 20, so the second spectrum would overwrite the first.
     out = tmp_path / "s.csv"
@@ -706,6 +740,13 @@ class TestPlot:
         assert "line 4: non-finite value 'nan'" in capsys.readouterr().err
         assert not (tmp_path / "map.svg").exists()
 
+    def test_heatmap_rejects_a_repeated_row(self, tmp_path):
+        csv_path = tmp_path / "map.csv"
+        csv_path.write_text("delta_ev,delta_prime_ev,intensity\n0.0,-0.1,1.0\n0.0,0.1,2.0\n0.0,0.1,2.0\n")
+        assert run_cli(["plot", str(csv_path), "--kind", "heatmap"]) == (
+            1, f"qdmfluor: {csv_path}: schema mismatch: map is not a full grid\n")
+        assert not (tmp_path / "map.svg").exists()
+
     def test_heatmap_rejects_shuffled_rows(self, tmp_path, capsys):
         csv_path = tmp_path / "map.csv"
         csv_path.write_text("delta_ev,delta_prime_ev,intensity\n0.0,-0.1,1.0\n0.01,-0.1,2.0\n0.0,0.1,4.0\n0.01,0.1,3.0\n")
@@ -726,8 +767,11 @@ class TestPlot:
         (_branches_text(lambda rows: rows[:3] + [rows[4], rows[3]] + rows[5:]), "schema mismatch: rows are not nine"),
         (_branches_text(lambda rows: [row for row in rows if ",3,3," not in row]), "schema mismatch: rows are not nine"),
         (_branches_text(lambda rows: rows[:4] + ["0.005" + rows[4][3:]] + rows[5:]), "schema mismatch: rows are not nine"),
+        # No command writes a spectrum of one row, or branches of one splitting.
+        ("delta_prime_ev,intensity\n0.0,1.0\n", "schema mismatch: a line chart needs at least two rows"),
+        (_branches_text(lambda rows: rows[:9]), "schema mismatch: a line chart needs at least two splittings"),
     ], ids=["blank", "blank-line-2", "extra-field", "missing-field", "header-only", "empty", "underscore",
-            "nan", "overflow", "branches-swapped", "branch-missing", "branches-ragged"])
+            "nan", "overflow", "branches-swapped", "branch-missing", "branches-ragged", "one-row", "one-splitting"])
     def test_bad_table_exit_1(self, tmp_path, capsys, text, message):
         csv_path = tmp_path / "table.csv"
         csv_path.write_text(text)

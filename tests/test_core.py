@@ -216,3 +216,15 @@ def test_dressed_triplet_is_immutable():
         ds.energies[0] = 0.0
     with pytest.raises(ValueError):
         ds.coeffs[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TripletHamiltonian(m=np.zeros((2, 3))), "m must be 3x3, got shape (2, 3)"),
+    (lambda: TripletHamiltonian(m=np.diag([0.0, math.nan, 0.0])), "m must be finite"),
+    (lambda: DressedTriplet(energies=np.zeros(2), coeffs=np.eye(3)), "energies must have shape (3,), got (2,)"),
+    (lambda: DressedTriplet(energies=np.arange(3.0), coeffs=np.eye(2)), "coeffs must be 3x3, got shape (2, 2)"),
+], ids=["hamiltonian-shape", "hamiltonian-nan", "energies-shape", "coeffs-shape"])
+def test_refusals_name_their_value(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message

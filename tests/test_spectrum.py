@@ -20,7 +20,6 @@ from qdmfluor import (
     count_peaks,
     diagonalize,
     dressed_states,
-    hwhm,
     line_table,
     line_widths,
     linewidth,
@@ -160,7 +159,7 @@ class TestLinewidth:
     def test_line_widths_refuse_a_width_whose_square_overflows(self):
         model = _model()
         gamma = linewidth(model, 5.0)
-        expected = [hwhm(CENTRAL if i == j else SIDE, gamma, model.gamma_rad) for i, j in BRANCH_LABELS]
+        expected = [gamma / 2.0 if i == j else (gamma + model.gamma_rad) / 2.0 for i, j in BRANCH_LABELS]
         assert line_widths(model, [5.0]).tolist() == [expected]
         assert np.isfinite(line_widths(model, [1e150]) ** 2).all()  # f = 1.1e145: f * f is finite
         for temps in ([1e160], [5.0, 1e308]):  # f * f overflows; Gamma(1e308 K) itself is finite
@@ -187,20 +186,33 @@ class TestLinewidth:
 
 
 class TestHwhm:
+    @staticmethod
+    def _widths(gamma_pop, gamma_rad):
+        """The (central, side) half widths line_widths gives at Gamma(T) = gamma_pop."""
+        row = line_widths(BroadeningModel(gamma0=gamma_pop, a_coef=0.0, gamma_rad=gamma_rad), [0.0])[0]
+        assert {row[k] for k, (i, j) in enumerate(BRANCH_LABELS) if i == j} == {row[0]}
+        assert {row[k] for k, (i, j) in enumerate(BRANCH_LABELS) if i != j} == {row[1]}
+        return row[0], row[1]
+
     def test_side_average(self):
-        assert hwhm(SIDE, 75e-6, 75e-6) == pytest.approx(75e-6, rel=1e-12)
-        assert hwhm(SIDE, 185e-6, 75e-6) == pytest.approx(130e-6, rel=1e-12)
+        assert self._widths(75e-6, 75e-6)[1] == pytest.approx(75e-6, rel=1e-12)
+        assert self._widths(185e-6, 75e-6)[1] == pytest.approx(130e-6, rel=1e-12)
 
     def test_central_halving(self):
-        assert hwhm(CENTRAL, 515e-6, 75e-6) == pytest.approx(257.5e-6, rel=1e-12)
+        assert self._widths(515e-6, 75e-6)[0] == pytest.approx(257.5e-6, rel=1e-12)
 
     def test_rejects_nonpositive_rates(self):
-        with pytest.raises(ValueError):
-            hwhm(SIDE, 0.0, 75e-6)
-        with pytest.raises(ValueError):
-            hwhm(CENTRAL, 75e-6, -1.0)
-        with pytest.raises(ValueError):
-            hwhm("other", 75e-6, 75e-6)
+        trans = _transitions_at(0.0)
+        grid = GridSpec(dp_min=-0.3, dp_max=0.3, npoints=11)
+        for gamma_pop, gamma_rad, message in [
+            (0.0, 75e-6, "gamma_pop must be positive, got 0.0"),
+            (math.nan, 75e-6, "gamma_pop must be positive, got nan"),
+            (75e-6, -1.0, "gamma_rad must be positive, got -1.0"),
+            (75e-6, math.inf, "gamma_rad must be positive, got inf"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                synthesize(trans, gamma_pop, gamma_rad, grid)
+            assert str(err.value) == message
 
 
 class TestSynthesize:
@@ -585,3 +597,34 @@ def test_resolvable_maxima_floor_and_strictness():
     idx = resolvable_maxima(y, rel_floor=0.0)
     assert idx.tolist() == [1, 7]
     assert local_max_indices(y, 0.0).tolist() == [1, 7]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GridSpec(dp_min=math.nan, dp_max=1.0, npoints=5), "grid bounds must be finite"),
+    (lambda: GridSpec(dp_min=0.0, dp_max=math.inf, npoints=5), "grid bounds must be finite"),
+    (lambda: GridSpec(dp_min=1.0, dp_max=1.0, npoints=5), "need dp_min < dp_max, got [1.0, 1.0]"),
+    (lambda: GridSpec(dp_min=0.0, dp_max=1.0, npoints=5.0), "npoints must be an integer, got 5.0"),
+    (lambda: GridSpec(dp_min=0.0, dp_max=1.0, npoints=1), "npoints must be >= 2, got 1"),
+    (lambda: spectrum.SpectrumGrid(delta_prime=[0.0], intensity=[1.0]),
+     "delta_prime and intensity must be equal-length 1-d arrays, >= 2 points"),
+    (lambda: spectrum.SpectrumGrid(delta_prime=[0.0, 0.0], intensity=[1.0, 1.0]), "delta_prime must be strictly increasing"),
+    (lambda: spectrum.SpectrumGrid(delta_prime=[0.0, 1.0], intensity=[1.0, -1.0]),
+     "intensities must be finite and non-negative"),
+    (lambda: BroadeningModel(gamma0=math.nan, a_coef=0.0, gamma_rad=75e-6), "gamma0 must be finite, got nan"),
+    (lambda: BroadeningModel(gamma0=75e-6, a_coef=0.0, gamma_rad=75e-6, b_coef=-1e-3), "b_coef must be non-negative, got -0.001"),
+    (lambda: Transition(i=0, j=1, a=0.1, lum=1.0, kind=SIDE), "indices must be in 1..3, got (0, 1)"),
+    (lambda: Transition(i=1, j=2, a=0.1, lum=1.0, kind=CENTRAL), "kind 'central' inconsistent with indices (1, 2)"),
+    (lambda: Transition(i=2, j=2, a=0.1, lum=1.0, kind=CENTRAL), "central transitions must have a == 0 exactly"),
+    (lambda: Transition(i=1, j=2, a=math.inf, lum=1.0, kind=SIDE), "a and lum must be finite"),
+    (lambda: Transition(i=1, j=2, a=0.1, lum=-1.0, kind=SIDE), "luminosity must be non-negative, got -1.0"),
+    # Coefficients of 1e200 are not a unit eigenvector: their squares overflow.
+    (lambda: line_table(np.zeros((1, 3)), np.full((1, 3, 3), 1e200), 1.0), "luminosities must be finite"),
+    (lambda: resolvable_maxima(np.ones(5), rel_floor=1.0), "rel_floor must be in [0, 1), got 1.0"),
+], ids=["grid-nan", "grid-inf", "grid-empty", "npoints-float", "npoints-1", "spectrum-short", "spectrum-order",
+        "spectrum-negative", "gamma0-nan", "b-coef-negative", "transition-index", "transition-kind",
+        "transition-central-a", "transition-inf", "transition-lum", "line-table-lum", "rel-floor"])
+def test_refusals_name_their_value(build, message):
+    with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+        warnings.simplefilter("error")  # the refusal is the only report: no numpy warning before it
+        build()
+    assert str(err.value) == message

@@ -231,3 +231,13 @@ def test_heatmap_matches_per_cell_reference(values):
     x = np.linspace(-0.35, 0.35, cols)
     y = np.linspace(0.0, 0.06, rows)
     assert svgplot.heatmap(x, y, values) == _reference_heatmap(x, y, values)
+
+
+@pytest.mark.parametrize("x, y, values", [
+    (np.zeros(3), np.zeros(2), np.zeros((3, 2))),  # rows and columns swapped
+    (np.zeros(0), np.zeros(2), np.zeros((2, 0))),  # no columns
+])
+def test_heatmap_refuses_a_grid_of_another_shape(x, y, values):
+    with pytest.raises(ValueError) as err:
+        svgplot.heatmap(x, y, values)
+    assert str(err.value) == "values must have shape (len(y), len(x))"

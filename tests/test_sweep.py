@@ -377,3 +377,22 @@ def test_study_map_solves_on_the_callers_thread(monkeypatch):
     monkeypatch.setattr(sweep, "_kept", ())
     intensity_map(SweepRange(lo=0.0, hi=0.06, steps=2001), GridSpec(-0.35, 0.35, 401), emitter, drive, _model(), workers=1)
     assert started == []  # the sweep-study shape: neither the eigensolve nor the kernel starts a thread
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SweepRange(lo=math.nan, hi=1.0, steps=5), "sweep bounds must be finite"),
+    (lambda: SweepRange(lo=0.0, hi=math.inf, steps=5), "sweep bounds must be finite"),
+    (lambda: SweepRange(lo=0.0, hi=1.0, steps=5.0), "steps must be an integer, got 5.0"),
+    (lambda: SweepRange(lo=0.0, hi=1.0, steps=True), "steps must be an integer, got True"),
+    (lambda: sweep.EnergyCurves(delta=np.zeros(2), energies=np.zeros((2, 9))), "energies must have shape (len(delta), 3)"),
+    (lambda: sweep.TransitionBranches(delta=np.zeros(2), a=np.zeros((2, 3))), "a must have shape (len(delta), 9)"),
+    (lambda: sweep.IntensityMap(delta_axis=np.zeros(2), dp_axis=np.zeros(3), values=np.zeros((3, 2))),
+     "values must have shape (len(delta_axis), len(dp_axis))"),
+    (lambda: sweep.IntensityMap(delta_axis=np.zeros(2), dp_axis=np.zeros(3), values=-np.ones((2, 3))),
+     "intensities must be finite and non-negative"),
+], ids=["range-nan", "range-inf", "steps-float", "steps-bool", "curves-shape", "branches-shape", "map-shape",
+        "map-negative"])
+def test_refusals_name_their_value(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
