@@ -149,14 +149,10 @@ def _write_files(files: dict[Path, Iterable[bytes]]) -> None:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     try:
-        text = Path(args.config).read_text()
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
         raise _CliError(2, f"cannot read config {args.config}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _CliError(1, f"config error: {exc}") from exc
-    try:
-        cfg = parse_config(text)
-    except ConfigError as exc:
+    except (UnicodeDecodeError, ConfigError) as exc:
         raise _CliError(1, f"config error: {exc}") from exc
     return cfg.with_overrides(temp_k=getattr(args, "temp", None), delta_ev=getattr(args, "delta", None))
 
@@ -334,8 +330,12 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
             if plain := _read_plain_table(fh):
                 return plain
             fh.seek(0)
-            with io.TextIOWrapper(fh) as text:
-                return _load_table(text, path)
+            with io.TextIOWrapper(fh, encoding="utf-8") as text:
+                try:
+                    return _load_table(text, path)
+                except UnicodeDecodeError as exc:  # exc.object (bytes held over, then the chunk read) ends at fh.tell()
+                    at, byte = fh.tell() - len(exc.object) + exc.start, exc.object[exc.start]
+                    raise ValueError(f"'utf-8' codec can't decode byte {byte:#04x} at file offset {at}: {exc.reason}")
     except OSError as exc:
         raise _CliError(2, f"cannot read {path}: {exc}") from exc
     except ValueError as exc:

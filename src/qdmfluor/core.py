@@ -44,6 +44,31 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _freeze(obj: object, **arrays: np.ndarray) -> None:
+    """Make each array read-only and set it as the field of that name on the frozen dataclass obj."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
+def _check_axis(kind: str, names: tuple[str, str, str], lo: float, hi: float, n: int) -> None:
+    """Refuse n uniform samples lo..hi (fields named names) unless np.linspace gives them strictly increasing."""
+    lo_name, hi_name, n_name = names
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{kind} bounds must be finite")
+    if not lo < hi:
+        raise ValueError(f"need {lo_name} < {hi_name}, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{kind} span {hi_name} - {lo_name} overflows, got [{lo}, {hi}]")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{n_name} must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"{n_name} must be >= 2, got {n}")
+    x = np.linspace(lo, hi, n)
+    if not (x[1:] > x[:-1]).all():
+        raise ValueError(f"{kind} samples repeat: {n_name} = {n} over [{lo}, {hi}] are not strictly increasing")
+
+
 @dataclass(frozen=True)
 class EmitterParams:
     """Physical parameters of the quantum-dot molecule.
@@ -134,8 +159,7 @@ class TripletHamiltonian:
             raise ValueError("m must be exactly symmetric")
         if m[0, 2] != 0.0 or m[2, 0] != 0.0:
             raise ValueError("no direct g-XI coupling allowed: m[0][2] must be 0")
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
+        _freeze(self, m=m)
 
 
 @dataclass(frozen=True)
@@ -160,10 +184,7 @@ class DressedTriplet:
         if coeffs.shape != (3, 3):
             raise ValueError(f"coeffs must be 3x3, got shape {coeffs.shape}")
         _check_eigensystems(energies, coeffs)
-        energies.setflags(write=False)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "coeffs", coeffs)
+        _freeze(self, energies=energies, coeffs=coeffs)
 
 
 def _leading_negative(rows: np.ndarray) -> np.ndarray:

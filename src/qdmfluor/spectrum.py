@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DressedTriplet
+from .core import DressedTriplet, _check_axis, _freeze, _require_finite
 
 __all__ = [
     "CENTRAL",
@@ -123,9 +123,7 @@ class BroadeningModel:
 
     def __post_init__(self) -> None:
         for name in ("gamma0", "a_coef", "gamma_rad", "b_coef", "delta_e"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _require_finite(name, getattr(self, name))
         if self.gamma0 <= 0.0:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
         if self.a_coef < 0.0:
@@ -147,16 +145,7 @@ class GridSpec:
     npoints: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dp_min) and math.isfinite(self.dp_max)):
-            raise ValueError("grid bounds must be finite")
-        if not self.dp_min < self.dp_max:
-            raise ValueError(f"need dp_min < dp_max, got [{self.dp_min}, {self.dp_max}]")
-        if not math.isfinite(self.dp_max - self.dp_min):
-            raise ValueError(f"grid span dp_max - dp_min overflows, got [{self.dp_min}, {self.dp_max}]")
-        if not isinstance(self.npoints, int) or isinstance(self.npoints, bool):
-            raise ValueError(f"npoints must be an integer, got {self.npoints!r}")
-        if self.npoints < 2:
-            raise ValueError(f"npoints must be >= 2, got {self.npoints}")
+        _check_axis("grid", ("dp_min", "dp_max", "npoints"), self.dp_min, self.dp_max, self.npoints)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.dp_min, self.dp_max, self.npoints)
@@ -182,10 +171,7 @@ class SpectrumGrid:
             raise ValueError("delta_prime must be strictly increasing")
         if not np.isfinite(y).all() or (y < 0.0).any():
             raise ValueError("intensities must be finite and non-negative")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "delta_prime", x)
-        object.__setattr__(self, "intensity", y)
+        _freeze(self, delta_prime=x, intensity=y)
 
     @property
     def npoints(self) -> int:

@@ -19,13 +19,12 @@ read-only, and results may share them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import DriveParams, EmitterParams, _eigensystems, _reduced_matrices
+from .core import DriveParams, EmitterParams, _check_axis, _eigensystems, _freeze, _reduced_matrices
 from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, lorentz_sum
 from .spectrum import _check_workers
 
@@ -54,16 +53,7 @@ class SweepRange:
     steps: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("sweep bounds must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if not math.isfinite(self.hi - self.lo):
-            raise ValueError(f"sweep span hi - lo overflows, got [{self.lo}, {self.hi}]")
-        if not isinstance(self.steps, int) or isinstance(self.steps, bool):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        _check_axis("sweep", ("lo", "hi", "steps"), self.lo, self.hi, self.steps)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps)
@@ -81,10 +71,7 @@ class EnergyCurves:
         e = np.asarray(self.energies, dtype=float)
         if d.ndim != 1 or e.shape != (d.size, 3):
             raise ValueError("energies must have shape (len(delta), 3)")
-        d.setflags(write=False)
-        e.setflags(write=False)
-        object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "energies", e)
+        _freeze(self, delta=d, energies=e)
 
 
 @dataclass(frozen=True)
@@ -99,10 +86,7 @@ class TransitionBranches:
         a = np.asarray(self.a, dtype=float)
         if d.ndim != 1 or a.shape != (d.size, 9):
             raise ValueError("a must have shape (len(delta), 9)")
-        d.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "a", a)
+        _freeze(self, delta=d, a=a)
 
 
 @dataclass(frozen=True)
@@ -121,11 +105,7 @@ class IntensityMap:
             raise ValueError("values must have shape (len(delta_axis), len(dp_axis))")
         if not np.isfinite(v).all() or (v < 0.0).any():
             raise ValueError("intensities must be finite and non-negative")
-        for arr in (d, x, v):
-            arr.setflags(write=False)
-        object.__setattr__(self, "delta_axis", d)
-        object.__setattr__(self, "dp_axis", x)
-        object.__setattr__(self, "values", v)
+        _freeze(self, delta_axis=d, dp_axis=x, values=v)
 
 
 _kept: tuple = ()  # (m_bytes, mu, solved) of the last sweep solved; replaced whole, so threads may share it

@@ -5,7 +5,10 @@ import io
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from qdmfluor import (
     BRANCH_LABELS,
+    ConfigError,
     diagonalize,
     intensity_map,
     linewidth,
@@ -25,6 +29,7 @@ from qdmfluor import (
     transition_branches,
     transitions,
 )
+import qdmfluor
 from qdmfluor import cli
 from qdmfluor.cli import main
 
@@ -309,6 +314,20 @@ def test_read_table_counts_cr_and_crlf_lines(tmp_path, body, rows):
     else:
         header, table = cli._read_table(path)
         assert header == ["c0", "c1"] and table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_decode_error_gives_the_file_offset(tmp_path):
+    # The fallback reads a CRLF table, decoding a chunk at a time; the offset is into the file, not the chunk.
+    rows = "".join(f"{k * 1e-4!r},{k * 0.5!r}\r\n" for k in range(12000))
+    data = bytearray(("delta_prime_ev,intensity\r\n" + rows).encode())
+    at = data.index(b"1", 180_000)  # a digit about 180 kB in
+    data[at] = 0xFF
+    path = tmp_path / "bad.csv"
+    path.write_bytes(bytes(data))
+    message = f"{path}: schema mismatch: 'utf-8' codec can't decode byte 0xff at file offset {at}: invalid start byte"
+    with pytest.raises(cli._CliError) as err:
+        cli._read_table(path)
+    assert (err.value.code, err.value.message) == (1, message)
 
 
 def test_read_table_of_a_pipe_exit_2(tmp_path, capsys):
@@ -667,6 +686,43 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
     assert code == 1
     assert err.startswith("qdmfluor: config error: ") and "codec can't decode byte 0xff in position 0" in err
     assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("command", ["map", "branches"])
+@pytest.mark.parametrize("bounds, message", [
+    # Bounds one float apart hold no five distinct samples; nor do three between 0 and the least subnormal.
+    ("dp_min_ev = 1.0\ndp_max_ev = 1.0000000000000002\nnpoints = 5",
+     "line 5: grid samples repeat: npoints = 5 over [1.0, 1.0000000000000002] are not strictly increasing"),
+    ("sweep_lo = 0.0\nsweep_hi = 5e-324\nsweep_steps = 3",
+     "line 5: sweep samples repeat: steps = 3 over [0.0, 5e-324] are not strictly increasing"),
+], ids=["grid", "sweep"])
+def test_axis_whose_samples_repeat_exit_1(tmp_path, command, bounds, message):
+    text = MINIMAL + bounds + "\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [message]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code_and_err = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert code_and_err == (1, f"qdmfluor: config error: {message}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_commands_do_not_read_in_the_locale_encoding(cfg_path, tmp_path):
+    # Configs and tables are read as UTF-8: a read in the locale's encoding would raise EncodingWarning here.
+    src = str(Path(qdmfluor.__file__).parents[1])  # the child imports the package under test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    spectrum, crlf = tmp_path / "spectrum.csv", tmp_path / "spectrum_crlf.csv"
+
+    def run(*argv):
+        cmd = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "qdmfluor.cli"]
+        return subprocess.run(cmd + list(argv), env=env, capture_output=True, encoding="utf-8")
+
+    done = run("spectrum", "--config", str(cfg_path), "--out", str(spectrum))
+    assert (done.returncode, done.stderr) == (0, "")
+    crlf.write_bytes(spectrum.read_bytes().replace(b"\n", b"\r\n"))
+    done = run("plot", str(crlf), "--kind", "line", "--out", str(tmp_path / "spectrum.svg"))
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_colliding_tempseries_names_exit_1(cfg_path, tmp_path, capsys):

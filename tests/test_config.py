@@ -331,6 +331,7 @@ def _edited(base, edits):
 @example(base=MINIMAL, edits=[("gamma0_ev", "1e-200"), ("gamma_rad_ev", "1e-200")])  # f * f underflows to 0
 @example(base=MINIMAL, edits=[("sweep_hi", "1e308")])
 @example(base=MINIMAL, edits=[("mu", "1e200")])
+@example(base=MINIMAL, edits=[("sweep_hi", "5e-324")])  # 241 samples of [0, 5e-324] repeat
 def test_any_text_parses_or_raises_config_error(base, edits):
     try:
         cfg = parse_config(_edited(base, edits))
@@ -343,7 +344,10 @@ def test_any_text_parses_or_raises_config_error(base, edits):
         assert f.type is int or math.isfinite(value), f.name
     # An accepted config builds every library object the commands use, finite lines at every
     # splitting a command may use, and finite Lorentzian terms at its grid ends, without a numpy warning.
-    cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid(), cfg.delta_range()
+    # Its axes' samples, which the commands write, are strictly increasing.
+    cfg.emitter(), cfg.drive(), cfg.broadening()
+    for axis in (cfg.grid().values(), cfg.delta_range().values()):
+        assert (np.diff(axis) > 0.0).all()
     f = line_widths(cfg.broadening(), [cfg.temp_k])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -14,6 +14,8 @@ from qdmfluor import (
     diagonalize,
     reduced_hamiltonian,
 )
+from qdmfluor.spectrum import SpectrumGrid
+from qdmfluor.sweep import EnergyCurves, IntensityMap, TransitionBranches
 
 from helpers import analytic_degenerate, char_poly, poly_roots, strong_drive
 
@@ -228,3 +230,33 @@ def test_refusals_name_their_value(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+
+# Each value type with inputs it accepts and inputs it refuses, built fresh: writable float64 arrays.
+_VALUE_TYPES = [
+    (TripletHamiltonian, lambda: {"m": np.diag([0.0, 0.0, 0.37])}, lambda: {"m": np.ones((3, 3))}),
+    (DressedTriplet, lambda: {"energies": np.arange(3.0), "coeffs": np.eye(3)},
+     lambda: {"energies": np.array([2.0, 1.0, 0.0]), "coeffs": np.eye(3)}),
+    (SpectrumGrid, lambda: {"delta_prime": np.arange(4.0), "intensity": np.ones(4)},
+     lambda: {"delta_prime": np.arange(4.0), "intensity": -np.ones(4)}),
+    (EnergyCurves, lambda: {"delta": np.arange(2.0), "energies": np.zeros((2, 3))},
+     lambda: {"delta": np.arange(2.0), "energies": np.zeros((2, 9))}),
+    (TransitionBranches, lambda: {"delta": np.arange(2.0), "a": np.zeros((2, 9))},
+     lambda: {"delta": np.arange(2.0), "a": np.zeros((2, 3))}),
+    (IntensityMap, lambda: {"delta_axis": np.arange(2.0), "dp_axis": np.arange(3.0), "values": np.ones((2, 3))},
+     lambda: {"delta_axis": np.arange(2.0), "dp_axis": np.arange(3.0), "values": -np.ones((2, 3))}),
+]
+
+
+@pytest.mark.parametrize("cls, accepted, refused", _VALUE_TYPES, ids=[t[0].__name__ for t in _VALUE_TYPES])
+def test_value_types_hold_the_callers_arrays_read_only_once_accepted(cls, accepted, refused):
+    arrays = accepted()
+    value = cls(**arrays)
+    for name, arr in arrays.items():
+        held = getattr(value, name)
+        assert not held.flags.writeable and np.shares_memory(held, arr), name  # no copy is taken
+    arrays = refused()
+    with pytest.raises(ValueError):
+        cls(**arrays)
+    assert all(arr.flags.writeable for arr in arrays.values())  # checked before anything is frozen

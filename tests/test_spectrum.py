@@ -605,6 +605,8 @@ def test_resolvable_maxima_floor_and_strictness():
     (lambda: GridSpec(dp_min=1.0, dp_max=1.0, npoints=5), "need dp_min < dp_max, got [1.0, 1.0]"),
     (lambda: GridSpec(dp_min=0.0, dp_max=1.0, npoints=5.0), "npoints must be an integer, got 5.0"),
     (lambda: GridSpec(dp_min=0.0, dp_max=1.0, npoints=1), "npoints must be >= 2, got 1"),
+    (lambda: GridSpec(dp_min=1.0, dp_max=1.0000000000000002, npoints=5),
+     "grid samples repeat: npoints = 5 over [1.0, 1.0000000000000002] are not strictly increasing"),
     (lambda: spectrum.SpectrumGrid(delta_prime=[0.0], intensity=[1.0]),
      "delta_prime and intensity must be equal-length 1-d arrays, >= 2 points"),
     (lambda: spectrum.SpectrumGrid(delta_prime=[0.0, 0.0], intensity=[1.0, 1.0]), "delta_prime must be strictly increasing"),
@@ -620,7 +622,7 @@ def test_resolvable_maxima_floor_and_strictness():
     # Coefficients of 1e200 are not a unit eigenvector: their squares overflow.
     (lambda: line_table(np.zeros((1, 3)), np.full((1, 3, 3), 1e200), 1.0), "luminosities must be finite"),
     (lambda: resolvable_maxima(np.ones(5), rel_floor=1.0), "rel_floor must be in [0, 1), got 1.0"),
-], ids=["grid-nan", "grid-inf", "grid-empty", "npoints-float", "npoints-1", "spectrum-short", "spectrum-order",
+], ids=["grid-nan", "grid-inf", "grid-empty", "npoints-float", "npoints-1", "grid-repeat", "spectrum-short", "spectrum-order",
         "spectrum-negative", "gamma0-nan", "b-coef-negative", "transition-index", "transition-kind",
         "transition-central-a", "transition-inf", "transition-lum", "line-table-lum", "rel-floor"])
 def test_refusals_name_their_value(build, message):

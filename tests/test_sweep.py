@@ -384,13 +384,15 @@ def test_study_map_solves_on_the_callers_thread(monkeypatch):
     (lambda: SweepRange(lo=0.0, hi=math.inf, steps=5), "sweep bounds must be finite"),
     (lambda: SweepRange(lo=0.0, hi=1.0, steps=5.0), "steps must be an integer, got 5.0"),
     (lambda: SweepRange(lo=0.0, hi=1.0, steps=True), "steps must be an integer, got True"),
+    (lambda: SweepRange(lo=0.0, hi=5e-324, steps=3),
+     "sweep samples repeat: steps = 3 over [0.0, 5e-324] are not strictly increasing"),
     (lambda: sweep.EnergyCurves(delta=np.zeros(2), energies=np.zeros((2, 9))), "energies must have shape (len(delta), 3)"),
     (lambda: sweep.TransitionBranches(delta=np.zeros(2), a=np.zeros((2, 3))), "a must have shape (len(delta), 9)"),
     (lambda: sweep.IntensityMap(delta_axis=np.zeros(2), dp_axis=np.zeros(3), values=np.zeros((3, 2))),
      "values must have shape (len(delta_axis), len(dp_axis))"),
     (lambda: sweep.IntensityMap(delta_axis=np.zeros(2), dp_axis=np.zeros(3), values=-np.ones((2, 3))),
      "intensities must be finite and non-negative"),
-], ids=["range-nan", "range-inf", "steps-float", "steps-bool", "curves-shape", "branches-shape", "map-shape",
+], ids=["range-nan", "range-inf", "steps-float", "steps-bool", "range-repeat", "curves-shape", "branches-shape", "map-shape",
         "map-negative"])
 def test_refusals_name_their_value(build, message):
     with pytest.raises(ValueError) as err:
