@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import os
 import sys
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -43,8 +41,8 @@ MAP_HEADER = ["delta_ev", "delta_prime_ev", "intensity"]
 
 _CELLS_PER_CHUNK = 1 << 12
 _COMMA, _NEWLINE = ord(","), ord("\n")
-_TEXT_PIECE = 1 << 16
-_MAX_CELL = 32  # the longest cell orjson parses for plot: it misrounds some far longer decimals
+_PIECE = 1 << 16
+_MAX_CELL = 32  # the longest cell plot reads: orjson rounds as float() does up to here, and misrounds some far longer decimals
 _NUMBER_BYTES = b"0123456789.eE+-"
 
 
@@ -210,7 +208,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 def _parse_temps(raw: str) -> list[float]:
     try:
-        temps = [float(part) for part in raw.split(",") if part.strip()]
+        # + 0.0 writes -0 as 0, so --temps 0,-0 names one file twice and is refused.
+        temps = [float(part) + 0.0 for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise _CliError(1, f"bad --temps value {raw!r}: {exc}") from exc
     if not temps or any(t < 0.0 for t in temps):
@@ -239,29 +238,25 @@ def cmd_tempseries(args: argparse.Namespace) -> int:
 
 
 def _body_rows(piece: bytes, fields: int) -> np.ndarray | None:
-    """The rows of a piece of body lines, parsed by orjson, or None unless the piece is plainly well formed.
+    """The rows of a piece of whole lines, parsed by orjson, or None if a line is outside the grammar.
 
-    Well formed: the piece ends in a newline, holds only number bytes, commas
-    and newlines, and every line has exactly `fields` cells of 1 to
-    _MAX_CELL bytes.  Such a piece joined into one JSON array has one
-    element per cell.  orjson refuses the spellings JSON does not allow
-    (+1, .5, 1., 01) and rounds as float() does up to the cell length the
-    guard allows.  It reads the integer -0 as +0, so a piece holding that
-    cell is left to loadtxt.  orjson 3.8 refuses a number that overflows; a
-    release that read it as inf would leave the piece to loadtxt too.
+    Each line is `fields` cells of 1 to _MAX_CELL number bytes, then \\n or
+    \\r\\n.  In one JSON array of all cells, orjson skips a CR as white space
+    and refuses +1, .5, 1., 01 and overflow; it reads -0 as +0, refused here.
     """
-    # What is left of the piece without its number bytes: a comma between cells, a newline after each line.
-    seps = piece.translate(None, _NUMBER_BYTES)
-    if not piece.endswith(b"\n") or seps != (b"," * (fields - 1) + b"\n") * (len(seps) // fields):
+    marks = piece.translate(None, _NUMBER_BYTES)  # a comma between cells, a CR or none and a newline after each line
+    crs = marks.count(b"\r")
+    if marks.translate(None, b"\r") != (b"," * (fields - 1) + b"\n") * ((len(marks) - crs) // fields):
         return None
-    cells = b"," + piece.replace(b"\n", b",")  # every cell between two commas
+    cells = b"," + piece.replace(b"\n", b",")  # every cell between two commas, a CRLF line's last with its CR
     codes = np.frombuffer(cells, np.uint8)
-    commas = np.flatnonzero(codes == ord(","))
+    commas = np.flatnonzero(codes == _COMMA)
     widths = np.diff(commas) - 1
-    if widths.min() < 1 or widths.max() > _MAX_CELL:
-        return None
-    pairs = commas[1:][widths == 2]
-    if ((codes[pairs - 2] == ord("-")) & (codes[pairs - 1] == ord("0"))).any():
+    ends_cr = codes[commas[fields::fields] - 1] == ord("\r")  # a CR may only end a line, and is no part of a cell
+    widths[fields - 1 :: fields] -= ends_cr
+    pairs = commas[:-1][widths == 2] + 1  # the first byte of each two-byte cell
+    if (np.count_nonzero(ends_cr) != crs or widths.min() < 1 or widths.max() > _MAX_CELL
+            or ((codes[pairs] == ord("-")) & (codes[pairs + 1] == ord("0"))).any()):
         return None
     try:
         values = orjson.loads(b"[" + cells[1:-1] + b"]")
@@ -271,75 +266,55 @@ def _body_rows(piece: bytes, fields: int) -> np.ndarray | None:
     return rows if np.isfinite(rows).all() else None
 
 
-def _read_plain_table(fh) -> tuple[list[str], np.ndarray] | None:
-    """The table of a binary file whose header is ASCII and whose every body piece _body_rows parses, else None.
-
-    The body's lines are counted first, so the rows are parsed into one
-    array of their final size, not gathered and then copied.
-    """
-    header = fh.readline()
-    if not (header.endswith(b"\n") and header.isascii()) or b"\r" in header:
-        return None
-    start = fh.tell()
-    chunks = iter(lambda: fh.read(_TEXT_PIECE), b"")
-    lines = sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) for chunk in chunks)
-    table = np.empty((lines, header.count(b",") + 1))
-    fh.seek(start)
-    done = 0
-    while piece := fh.read(_TEXT_PIECE) + fh.readline():
-        rows = _body_rows(piece, table.shape[1])
-        if rows is None:
-            return None
-        table[done : done + len(rows)] = rows
-        done += len(rows)
-    return (header[:-1].decode().split(","), table) if done else None
-
-
-def _load_table(fh, path: Path) -> tuple[list[str], np.ndarray]:
-    """The header fields and body of a text file by numpy.loadtxt, which words every refusal."""
-    header = fh.readline().rstrip("\n").split(",")
-    start = fh.tell()
-    if fh.readline() in ("", "\n"):  # loadtxt skips a blank line, and warns when it finds no data
-        raise _CliError(1, f"{path}: schema mismatch: no row on line 2")
-    lines = 1 + sum(1 for _ in fh)  # the body's lines; text mode reads CR and CRLF line ends as newlines
-    fh.seek(start)
-    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    if table.shape != (lines, len(header)):  # a blank line, or rows of another length
-        raise _CliError(1, f"{path}: schema mismatch: need one row of {len(header)} fields on every line")
-    finite = np.isfinite(table)
-    if not finite.all():
-        row, col = np.unravel_index(np.argmin(finite), table.shape)
-        fh.seek(start)
-        text = next(islice(fh, row, None)).rstrip("\n").split(",")[col]
-        raise _CliError(1, f"{path}: line {row + 2}: non-finite value {text!r}")
-    return header, table
+def _fault(piece: bytes, fields: int, first: int) -> str:
+    """What is wrong, at which line and field, first in a piece _body_rows refused, whose first line is `first`."""
+    *ended, last = piece.split(b"\n")  # last: the file's last line, if it has no line end
+    for line, text in enumerate([text.removesuffix(b"\r") for text in ended] + [last][: bool(last)], first):
+        cells = text.split(b",") if text else []
+        for field, cell in enumerate(cells[:fields], 1):
+            if b"\r" in cell or _body_rows(cell + b"\n", 1) is None:  # the piece's own test, on this cell alone
+                with contextlib.suppress(ValueError):
+                    if not np.isfinite(float(cell)):
+                        return f"field {field} on line {line}: non-finite value {repr(cell)[1:]}"
+                return f"field {field} on line {line}: {repr(cell)[1:]} is not a number of 1 to {_MAX_CELL} bytes as repr writes it"
+        if len(cells) != fields:
+            return f"no row on line {line}: field 1 is missing" if not cells else (
+                f"field {min(len(cells), fields) + 1} on line {line}: the line's field count {len(cells)} is not the header's {fields}")
 
 
 def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     """The header fields, and the body as one (rows, fields) float array: one row of finite floats per line.
 
-    A plainly well-formed file is parsed by orjson (_read_plain_table).  Any
-    other is read again from its start, through the same handle, by
-    numpy.loadtxt (_load_table), which gives the same values and words every
-    refusal.  Both reads need a seekable file, so a pipe is refused.
+    Below an ASCII header, the lines are those _body_rows reads.  They are
+    counted to size the array, then parsed a piece at a time, so a pipe,
+    which cannot be read twice, is refused.  Anything else is a schema
+    mismatch naming the line and field of the first fault.
     """
     try:
         with open(path, "rb") as fh:
-            if not fh.seekable():
-                raise io.UnsupportedOperation("underlying stream is not seekable")
-            if plain := _read_plain_table(fh):
-                return plain
-            fh.seek(0)
-            with io.TextIOWrapper(fh, encoding="utf-8") as text:
-                try:
-                    return _load_table(text, path)
-                except UnicodeDecodeError as exc:  # exc.object (bytes held over, then the chunk read) ends at fh.tell()
-                    at, byte = fh.tell() - len(exc.object) + exc.start, exc.object[exc.start]
-                    raise ValueError(f"'utf-8' codec can't decode byte {byte:#04x} at file offset {at}: {exc.reason}")
+            names = fh.readline().removesuffix(b"\r\n").removesuffix(b"\n").split(b",")
+            for field, name in enumerate(names, 1):
+                if not name.isascii() or b"\r" in name:
+                    fault = f"field {field} on line 1: header name {repr(name)[1:]} is not ASCII on one line"
+                    raise _CliError(1, f"{path}: schema mismatch: {fault}")
+            start = fh.tell()  # a pipe has no position, so it is refused here: it cannot be read twice
+            chunks = iter(lambda: fh.read(_PIECE), b"")
+            lines = sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == _NEWLINE) for chunk in chunks)
+            table = np.empty((lines + 1, len(names)))  # a spare row, for a last line with no line end
+            fh.seek(start)
+            done = 0
+            while piece := fh.read(_PIECE) + fh.readline():
+                if not piece.endswith((b"\n", b"\r")):  # the last line may have no line end, but no lone CR
+                    piece += b"\n"
+                if (rows := _body_rows(piece, len(names))) is None:
+                    raise _CliError(1, f"{path}: schema mismatch: {_fault(piece, len(names), done + 2)}")
+                table[done : done + len(rows)] = rows
+                done += len(rows)
     except OSError as exc:
         raise _CliError(2, f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise _CliError(1, f"{path}: schema mismatch: {exc}") from exc
+    if not done:
+        raise _CliError(1, f"{path}: schema mismatch: no row on line 2: field 1 is missing")
+    return [name.decode() for name in names], table[:done]
 
 
 def cmd_plot(args: argparse.Namespace) -> int:

@@ -51,6 +51,15 @@ def _freeze(obj: object, **arrays: np.ndarray) -> None:
         object.__setattr__(obj, name, arr)
 
 
+def _samples(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n), less the overflow warning it gives when its last step passes the largest float.
+
+    numpy then sets the last sample to hi, so the samples are those it returns without the warning.
+    """
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, n)
+
+
 def _check_axis(kind: str, names: tuple[str, str, str], lo: float, hi: float, n: int) -> None:
     """Refuse n uniform samples lo..hi (fields named names) unless np.linspace gives them strictly increasing."""
     lo_name, hi_name, n_name = names
@@ -64,7 +73,7 @@ def _check_axis(kind: str, names: tuple[str, str, str], lo: float, hi: float, n:
         raise ValueError(f"{n_name} must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"{n_name} must be >= 2, got {n}")
-    x = np.linspace(lo, hi, n)
+    x = _samples(lo, hi, n)
     if not (x[1:] > x[:-1]).all():
         raise ValueError(f"{kind} samples repeat: {n_name} = {n} over [{lo}, {hi}] are not strictly increasing")
 

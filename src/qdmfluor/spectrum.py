@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DressedTriplet, _check_axis, _freeze, _require_finite
+from .core import DressedTriplet, _check_axis, _freeze, _require_finite, _samples
 
 __all__ = [
     "CENTRAL",
@@ -148,7 +148,7 @@ class GridSpec:
         _check_axis("grid", ("dp_min", "dp_max", "npoints"), self.dp_min, self.dp_max, self.npoints)
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.dp_min, self.dp_max, self.npoints)
+        return _samples(self.dp_min, self.dp_max, self.npoints)
 
     @property
     def step(self) -> float:
@@ -262,6 +262,13 @@ def lorentz_terms(a, lum, f, x_ends=()) -> tuple[np.ndarray, np.ndarray]:
     return scale, f2
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS reports one, which os.cpu_count() ignores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_workers(workers) -> None:
     """Refuse a workers cap that is not an int >= 1 or None."""
     if workers is not None and (not isinstance(workers, int) or isinstance(workers, bool) or workers < 1):
@@ -279,7 +286,7 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
     Rows are summed a block of about _BLOCK_CELLS cells at a time.  When a
     block holds several rows, a line whose a and f are the same on every
     row has its denominator computed once per call.  The rows split into
-    even shares for min(blocks, os.cpu_count()) threads, at most workers
+    even shares for min(blocks, usable CPUs) threads, at most workers
     (an int >= 1; None sets no cap) of them, each summing its share in its
     own scratch block: the caller's thread the first, every other a thread
     started in a copy of the caller's context, so np.errstate carries over.
@@ -310,7 +317,7 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
         np.square(shared_dens, out=shared_dens)
         np.add(shared_dens, f2[0, shared, None], out=shared_dens)
         dens = dict(zip(shared.tolist(), shared_dens))
-    n_threads = min(-(-n_rows // rows), os.cpu_count() or 1, workers or n_rows)
+    n_threads = min(-(-n_rows // rows), _usable_cpus(), workers or n_rows)
     bufs = np.empty((n_threads, min(rows, n_rows), x.size))  # one scratch block per thread
     bounds = [n_rows * i // n_threads for i in range(n_threads + 1)]  # share s is rows bounds[s]:bounds[s + 1]
 

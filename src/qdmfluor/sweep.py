@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DriveParams, EmitterParams, _check_axis, _eigensystems, _freeze, _reduced_matrices
+from .core import DriveParams, EmitterParams, _check_axis, _eigensystems, _freeze, _reduced_matrices, _samples
 from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, lorentz_sum
 from .spectrum import _check_workers
 
@@ -56,7 +56,7 @@ class SweepRange:
         _check_axis("sweep", ("lo", "hi", "steps"), self.lo, self.hi, self.steps)
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.steps)
+        return _samples(self.lo, self.hi, self.steps)
 
 
 @dataclass(frozen=True)

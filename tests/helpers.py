@@ -149,8 +149,10 @@ def match_peaks(grids, rel_floor: float = 1e-3, tol: float = 2e-3):
 def count_thread_starts(monkeypatch, cpus: int = 8) -> list:
     """Record every threading.Thread started from here on, on a host of `cpus` CPUs.
 
-    Fixing os.cpu_count makes the kernel's thread bound the same on every
-    machine, so a test sees the threads it asks for.
+    Fixing the CPUs the process may run on (os.sched_getaffinity, and
+    os.cpu_count where the OS has no affinity call) makes the kernel's
+    thread bound the same on every machine, so a test sees the threads it
+    asks for.
     """
     started = []
 
@@ -160,6 +162,7 @@ def count_thread_starts(monkeypatch, cpus: int = 8) -> list:
             super().start()
 
     monkeypatch.setattr(threading, "Thread", CountingThread)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     return started
 

@@ -4,6 +4,7 @@ import decimal
 import io
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -149,6 +150,14 @@ def test_outputs_match_per_cell_reference(text, tmp_path):
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# Floats where the writer's notation changes: +-0, subnormals, the least normals, 1e-4 and 1e16, and the largest.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-4,
+                     9.999999999999999e-05, 9999999999999998.0, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+    st.floats(min_value=1e300, max_value=1.7976931348623157e308).flatmap(lambda v: st.sampled_from([v, -v])),
+    _FLOATS,
+)
 _LABELS = st.integers(-(10**15), 10**15)  # whole numbers, as branches writes its i and j
 
 
@@ -159,14 +168,14 @@ def _written_tables(draw):
     n = draw(st.integers(1, 30))
     kind = draw(st.sampled_from(["floats", "branches", "map"]))
     if kind == "branches":
-        delta, a = (draw(st.lists(_FLOATS, min_size=n, max_size=n)) for _ in range(2))
+        delta, a = (draw(st.lists(_EDGE_FLOATS, min_size=n, max_size=n)) for _ in range(2))
         i, j = (draw(st.lists(_LABELS, min_size=n, max_size=n)) for _ in range(2))
         return [delta, i, j, a], (1, 2), None
     # A map row's prefix column is one of its 2 to 4 columns.
-    columns = [draw(st.lists(_FLOATS, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 4)))]
+    columns = [draw(st.lists(_EDGE_FLOATS, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 4)))]
     if kind == "floats":
         return columns, (), None
-    delta = draw(_FLOATS)
+    delta = draw(_EDGE_FLOATS)
     return [[delta] * n, *columns[:3]], (), delta
 
 
@@ -199,45 +208,78 @@ def test_written_csv_reparses_to_the_same_floats(tmp_path_factory, table):
     rows = [[cell if k in ints else _r(cell) for k, cell in enumerate(row)] for row in zip(*columns)]
     assert path.read_bytes() == _reference_csv(header, rows)
     _assert_reparses_bitwise(path, dict(enumerate(columns)))
-    # plot's reader gives the same bits as float() on every field.
-    read_header, read = cli._read_table(path)
-    assert read_header == header
-    assert read.tobytes() == body.tobytes()
+    # plot's reader gives the same bits as float() on every field, with LF line ends and with CRLF.
+    for data in (path.read_bytes(), path.read_bytes().replace(b"\n", b"\r\n")):
+        path.write_bytes(data)
+        read_header, read = cli._read_table(path)
+        assert read_header == header
+        assert read.tobytes() == body.tobytes()
 
 
 def _read_outcome(path):
-    """What plot's reader gives for a file: the header and table bits, or the error's exit code and message."""
+    """What plot's reader gives for a file: the header and table bits, or the exit code and the line and field named."""
     try:
         header, table = cli._read_table(path)
     except cli._CliError as exc:
-        return exc.code, exc.message
+        where = exc.message.partition("schema mismatch: ")[2]
+        return exc.code, int(re.search(r"line (\d+)", where)[1]), int(re.search(r"field (\d+)", where)[1])
     return header, table.shape, table.tobytes()
 
 
-def _loadtxt_outcome(path):
-    """_read_outcome with the orjson path left out, so numpy.loadtxt reads every file."""
-    with mock.patch.object(cli, "_read_plain_table", lambda fh: None):
-        return _read_outcome(path)
+# One cell of plot's table grammar: JSON's number syntax, 1 to 32 bytes, never the integer -0, and finite.
+_GRAMMAR_CELL = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def _in_grammar(cell):
+    return (_GRAMMAR_CELL.fullmatch(cell) is not None and len(cell) <= cli._MAX_CELL and cell != b"-0"
+            and math.isfinite(float(cell)))
+
+
+def _reference_outcome(data):
+    """_read_outcome by the grammar, line by line, with float() per cell; a refusal names the first fault.
+
+    Lines end in \\n or \\r\\n, and the last may have no line end.  The header's
+    names are ASCII without a CR; each body line holds one cell in the
+    grammar per header name.  A blank line, or a file with no body line,
+    has no field 1.
+    """
+    *ended, last = data.split(b"\n")
+    lines = [line.removesuffix(b"\r") for line in ended] + [last][: bool(last)]
+    names = (lines or [b""])[0].split(b",")
+    for field, name in enumerate(names, 1):
+        if not name.isascii() or b"\r" in name:
+            return 1, 1, field
+    rows = []
+    for line, text in enumerate(lines[1:], 2):
+        cells = text.split(b",") if text else []
+        bad = [field for field, cell in enumerate(cells[: len(names)], 1) if not _in_grammar(cell)]
+        if bad or len(cells) != len(names):
+            return 1, line, bad[0] if bad else min(len(cells), len(names)) + 1
+        rows.append([float(cell) for cell in cells])
+    if not rows:
+        return 1, 2, 1
+    table = np.array(rows)
+    return [name.decode() for name in names], table.shape, table.tobytes()
 
 
 @pytest.mark.parametrize("piece", [1, 7, 64])
 def test_read_table_rows_do_not_depend_on_text_pieces(tmp_path, monkeypatch, piece):
-    # plot's reader parses the body a piece at a time; the pieces end at line ends.
-    monkeypatch.setattr(cli, "_TEXT_PIECE", piece)
+    # plot's reader parses the body a piece of whole lines at a time, with LF or CRLF line ends.
+    monkeypatch.setattr(cli, "_PIECE", piece)
     rows = np.linspace(-1.0, 1.0, 40).reshape(20, 2)
     path = tmp_path / "t.csv"
     text = "delta_prime_ev,intensity\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows.tolist())
-    path.write_text(text)
-    header, table = cli._read_table(path)
-    assert header == cli.SPECTRUM_HEADER and table.tobytes() == rows.tobytes()
-    assert _read_outcome(path) == _loadtxt_outcome(path)
-    # Spellings only loadtxt reads, after pieces orjson has parsed: the whole file is read again.
-    path.write_bytes(text.encode() + b"+1,.5\r\n01,1.\n")
-    header, table = cli._read_table(path)
-    assert table.tobytes() == np.vstack([rows, [[1.0, 0.5], [1.0, 1.0]]]).tobytes()
-    assert _read_outcome(path) == _loadtxt_outcome(path)
+    for data in (text.encode(), text.replace("\n", "\r\n").encode()):
+        path.write_bytes(data)
+        header, table = cli._read_table(path)
+        assert header == cli.SPECTRUM_HEADER and table.tobytes() == rows.tobytes()
+    # Spellings outside the grammar, after pieces orjson has parsed, are refused at their line and field.
+    path.write_bytes(text.encode() + b"0.5,1.5\r\n+1,.5\r\n01,1.\n")
+    with pytest.raises(cli._CliError, match=r": schema mismatch: field 1 on line 23: '\+1' is not a number of 1 to 32 bytes as repr writes it"):
+        cli._read_table(path)
+    assert _read_outcome(path) == _reference_outcome(path.read_bytes())
     path.write_text(text + "0.5,nan")  # a last line with no newline
-    with pytest.raises(cli._CliError, match="line 22: non-finite value 'nan'"):
+    with pytest.raises(cli._CliError, match="schema mismatch: field 2 on line 22: non-finite value 'nan'"):
         cli._read_table(path)
 
 
@@ -248,7 +290,7 @@ def _halfway(value, digits):
         return format((decimal.Decimal(value) + decimal.Decimal(np.nextafter(value, np.inf))) / 2, f".{digits - 1}e")
 
 
-# The spellings the table commands write, and of integers; then spellings only loadtxt reads, or neither does.
+# The spellings the table commands write, and of integers; then spellings outside the grammar, and a few in it.
 _PLAIN_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.24e}"),
@@ -274,7 +316,7 @@ def _tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(table=_tables(), last_newline=st.booleans(), piece=st.sampled_from([1, 7, 64, 1 << 16]))
 @example(table=(2, [(["0.25", "0.5"], "\n"), (["0.5", "0.75"], "\n")]), last_newline=False, piece=1 << 16)
-# orjson rounds this exact halfway decimal away from the even neighbour; loadtxt does not.
+# orjson rounds this exact halfway decimal away from the even neighbour; it is far over 32 bytes.
 @example(table=(1, [([_halfway(5.070266582975182e-286, 780)], "\n")]), last_newline=True, piece=1 << 16)
 @example(table=(2, [(["0.1", "0." + "1" * 31], "\n")]), last_newline=True, piece=1 << 16)  # a 33-byte cell
 @example(table=(2, [(["0.1", ""], "\n"), (["", "1.0"], "\n")]), last_newline=True, piece=1 << 16)
@@ -284,50 +326,61 @@ def _tables(draw):
 @example(table=(2, [(["-0", "-0.0"], "\n"), (["1e-0", "-1e-400"], "\n")]), last_newline=True, piece=7)
 @example(table=(2, [(["0.5", "1.5"], "\n")] * 6 + [(["1.0", "nan"], "\n")]), last_newline=True, piece=1)
 @example(table=(3, [(["0.0", "-0.1", "1.0"], "\n")] * 9 + [(["0.01", "-0.1", "1e999"], "\n")]), last_newline=True, piece=64)
-# Line ends the fallback counts in text mode: lone CRs, CRLF with no last newline, a blank line before the last row.
+# Line ends the old text reader took: lone CRs, CRLF with no last newline, a blank line before the last row.
 @example(table=(2, [(["1.0", "2.0"], "\r"), (["3.0", "4.0"], "\r")]), last_newline=True, piece=1 << 16)
 @example(table=(2, [(["1.0", "2.0"], "\r\n"), (["3.0", "4.0"], "\r\n")]), last_newline=False, piece=1 << 16)
 @example(table=(2, [(["1.0", "2.0"], "\n\n"), (["3.0", "4.0"], "\n")]), last_newline=True, piece=1 << 16)
-def test_read_table_matches_loadtxt_reader(tmp_path_factory, table, last_newline, piece):
-    # orjson reads what it can parse exactly; every other file gives loadtxt's values, or its code and message.
+def test_read_table_matches_grammar_reference(tmp_path_factory, table, last_newline, piece):
+    # Every file gives the reference's header and table bits, or its refusal with exit code 1 at the same line and field.
     fields, lines = table
     body = "".join(",".join(cells) + end for cells, end in lines)
     if not last_newline:
         body = body.rstrip("\r\n")
     path = tmp_path_factory.mktemp("read") / "t.csv"
     path.write_bytes(",".join(f"c{k}" for k in range(fields)).encode() + b"\n" + body.encode())
-    with mock.patch.object(cli, "_TEXT_PIECE", piece):
-        assert _read_outcome(path) == _loadtxt_outcome(path)
+    with mock.patch.object(cli, "_PIECE", piece):
+        assert _read_outcome(path) == _reference_outcome(path.read_bytes())
+
+
+_CR_REFUSALS = {
+    b"1.0,2.0\r3.0,4.0\r": "field 2 on line 2: '2.0\\r3.0' is not a number of 1 to 32 bytes as repr writes it",
+    b"1.0,2.0\r\n\r\n3.0,4.0\r\n": "no row on line 3: field 1 is missing",
+}
 
 
 @pytest.mark.parametrize("body, rows", [
-    (b"1.0,2.0\r3.0,4.0\r", 2),
+    (b"1.0,2.0\r3.0,4.0\r", None),  # a lone CR is no line end
     (b"1.0,2.0\r\n3.0,4.0", 2),
-    (b"1.0,2.0\r\n\r\n3.0,4.0\r\n", None),  # loadtxt skips the blank line; the line count does not
+    (b"1.0,2.0\r\n\r\n3.0,4.0\r\n", None),  # a blank line is no row
 ])
 def test_read_table_counts_cr_and_crlf_lines(tmp_path, body, rows):
     path = tmp_path / "t.csv"
     path.write_bytes(b"c0,c1\r\n" + body)
     if rows is None:
-        with pytest.raises(cli._CliError, match="schema mismatch: need one row of 2 fields on every line"):
+        with pytest.raises(cli._CliError) as err:
             cli._read_table(path)
+        assert (err.value.code, err.value.message) == (1, f"{path}: schema mismatch: {_CR_REFUSALS[body]}")
     else:
         header, table = cli._read_table(path)
         assert header == ["c0", "c1"] and table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
-def test_decode_error_gives_the_file_offset(tmp_path):
-    # The fallback reads a CRLF table, decoding a chunk at a time; the offset is into the file, not the chunk.
+def test_undecodable_byte_is_refused_at_its_line_and_field(tmp_path):
+    # A 0xff byte about 180 kB into a CRLF table, past the first pieces orjson parses.
     rows = "".join(f"{k * 1e-4!r},{k * 0.5!r}\r\n" for k in range(12000))
     data = bytearray(("delta_prime_ev,intensity\r\n" + rows).encode())
     at = data.index(b"1", 180_000)  # a digit about 180 kB in
     data[at] = 0xFF
     path = tmp_path / "bad.csv"
     path.write_bytes(bytes(data))
-    message = f"{path}: schema mismatch: 'utf-8' codec can't decode byte 0xff at file offset {at}: invalid start byte"
+    start = data.rindex(b"\n", 0, at) + 1  # of the byte's line
+    line, field = data.count(b"\n", 0, at) + 1, data.count(b",", start, at) + 1
+    cell = bytes(data[start : data.index(b"\r\n", at)]).split(b",")[field - 1]
+    message = f"{path}: schema mismatch: field {field} on line {line}: {repr(cell)[1:]} is not a number of 1 to 32 bytes as repr writes it"
     with pytest.raises(cli._CliError) as err:
         cli._read_table(path)
     assert (err.value.code, err.value.message) == (1, message)
+    assert b"\xff" in cell and 4000 < line < 12002
 
 
 def test_read_table_of_a_pipe_exit_2(tmp_path, capsys):
@@ -709,7 +762,7 @@ def test_axis_whose_samples_repeat_exit_1(tmp_path, command, bounds, message):
 
 
 def test_commands_do_not_read_in_the_locale_encoding(cfg_path, tmp_path):
-    # Configs and tables are read as UTF-8: a read in the locale's encoding would raise EncodingWarning here.
+    # Configs are read as UTF-8 and tables as bytes: a read in the locale's encoding would raise EncodingWarning here.
     src = str(Path(qdmfluor.__file__).parents[1])  # the child imports the package under test
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     spectrum, crlf = tmp_path / "spectrum.csv", tmp_path / "spectrum_crlf.csv"
@@ -732,6 +785,19 @@ def test_colliding_tempseries_names_exit_1(cfg_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "20.0" in err and "20.0000001" in err and "s_T20K.csv" in err
     assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_negative_zero_temperature_is_written_as_zero(cfg_path, tmp_path):
+    # -0 is 0 K: with 0 it names one file twice, and alone it writes the _T0K.csv that 0 writes.
+    out = tmp_path / "s.csv"
+    argv = ["tempseries", "--config", str(cfg_path), "--out", str(out), "--temps"]
+    assert run_cli(argv + ["0,-0"]) == (1, "qdmfluor: --temps 0.0 and 0.0 would both write s_T0K.csv\n")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+    assert run_cli(argv + ["0"]) == (0, "")
+    zero = (tmp_path / "s_T0K.csv").read_bytes()
+    assert run_cli(argv + ["-0"]) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "s_T0K.csv"]
+    assert (tmp_path / "s_T0K.csv").read_bytes() == zero
 
 
 _SPECTRUM_TEXT = "delta_prime_ev,intensity\n0.0,1.0\n0.5,3.0\n1.0,2.0\n"
@@ -826,11 +892,19 @@ class TestPlot:
         # No command writes a spectrum of one row, or branches of one splitting.
         ("delta_prime_ev,intensity\n0.0,1.0\n", "schema mismatch: a line chart needs at least two rows"),
         (_branches_text(lambda rows: rows[:9]), "schema mismatch: a line chart needs at least two splittings"),
+        # Spellings outside the grammar the table commands write.
+        *((_SPECTRUM_TEXT.replace("1.0,2.0", f"{cell},2.0"), f"field 1 on line 4: {cell!r} is not a number of 1 to 32 bytes as repr")
+          for cell in ("+1", ".5", "1.", "01", "-0", " 1.0", "1.0 ")),
+        (_SPECTRUM_TEXT.replace("1.0,2.0", "1.0,0." + "1" * 31), f"field 2 on line 4: '0.{'1' * 31}' is not a number of 1 to 32 bytes"),
+        (_SPECTRUM_TEXT.replace("\n0.5", "\r0.5"), "field 2 on line 2: '1.0\\r0.5' is not a number of 1 to 32 bytes"),
+        ("d\u00e9lta_prime_ev,intensity\n0.0,1.0\n1.0,2.0\n", "field 1 on line 1: header name 'd\\xc3\\xa9lta_prime_ev' is not ASCII"),
     ], ids=["blank", "blank-line-2", "extra-field", "missing-field", "header-only", "empty", "underscore",
-            "nan", "overflow", "branches-swapped", "branch-missing", "branches-ragged", "one-row", "one-splitting"])
+            "nan", "overflow", "branches-swapped", "branch-missing", "branches-ragged", "one-row", "one-splitting",
+            "plus", "leading-dot", "trailing-dot", "leading-zero", "integer-minus-zero", "blank-before", "blank-after",
+            "long-cell", "lone-cr", "non-ascii-header"])
     def test_bad_table_exit_1(self, tmp_path, capsys, text, message):
         csv_path = tmp_path / "table.csv"
-        csv_path.write_text(text)
+        csv_path.write_bytes(text.encode())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["plot", str(csv_path), "--kind", "line"]) == 1

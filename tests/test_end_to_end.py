@@ -113,5 +113,7 @@ _NO_FLAGS = {"temp": None, "temps": None, "delta": None}
 @example(text=_BASE + "b_ev = 1e200\n", flags=_NO_FLAGS)
 # Widths whose squares underflow to 0: a division by zero at the centre of a line on the grid.
 @example(text=_BASE + "gamma0_ev = 1e-200\ngamma_rad_ev = 1e-200\ndp_min_ev = -1\ndp_max_ev = 1\n", flags=_NO_FLAGS)
+# A sweep to the largest float: np.linspace's last step overflows before it sets the endpoint, with a warning.
+@example(text=_BASE.replace("sweep_steps = 3", "sweep_steps = 4") + "sweep_hi = 1.7976931348623157e+308\n", flags=_NO_FLAGS)
 def test_every_command_runs_clean_or_refuses_by_line_or_name(text, flags):
     _assert_clean_or_refused(text, flags)

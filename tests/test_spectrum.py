@@ -389,7 +389,12 @@ def test_lorentz_sum_thread_count_is_bounded(monkeypatch):
     assert len(started) == 2
 
     started.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count: the caller's thread only
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one usable CPU of the host's eight
+    spectrum.lorentz_sum(a, lum, f, x)
+    assert started == []
+
+    monkeypatch.delattr(os, "sched_getaffinity")  # no affinity call, and an unknown CPU count: the caller's thread only
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     spectrum.lorentz_sum(a, lum, f, x, workers=4)
     assert started == []
 
