@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -212,8 +213,8 @@ def _parse_temps(raw: str) -> list[float]:
         temps = [float(part) + 0.0 for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise _CliError(1, f"bad --temps value {raw!r}: {exc}") from exc
-    if not temps or any(t < 0.0 for t in temps):
-        raise _CliError(1, f"--temps needs a comma-separated list of temperatures >= 0, got {raw!r}")
+    if not temps or any(not math.isfinite(t) or t < 0.0 for t in temps):
+        raise _CliError(1, f"--temps needs a comma-separated list of finite temperatures >= 0, got {raw!r}")
     return temps
 
 
@@ -330,9 +331,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
     elif header == BRANCHES_HEADER and args.kind == "line":
         # branches writes nine rows per splitting, one per line in BRANCH_LABELS order.
         n = len(BRANCH_LABELS)
-        rows = table[: len(table) // n * n].reshape(-1, n, 4)
-        if len(table) % n or not ((rows[..., 1:3] == BRANCH_LABELS).all() and (rows[..., 0] == rows[:, :1, 0]).all()):
-            raise _CliError(1, f"{path}: schema mismatch: rows are not nine per splitting in (i,j) order {BRANCH_LABELS}")
+        r = np.arange(len(table))
+        wrong = (table[:, 1:3] != np.array(BRANCH_LABELS)[r % n]).any(axis=1) | (table[:, 0] != table[r - r % n, 0])
+        wrong = np.append(wrong, len(table) % n > 0)  # a last splitting short of nine rows misses the line after it
+        if wrong.any():
+            order = f"rows are not nine per splitting in (i,j) order {BRANCH_LABELS}"
+            raise _CliError(1, f"{path}: schema mismatch: {order} on line {2 + wrong.argmax()}")
+        rows = table.reshape(-1, n, 4)
         if len(rows) < 2:
             raise _CliError(1, f"{path}: schema mismatch: a line chart needs at least two splittings")
         series = [(f"E{i}{j}", rows[:, k, 3]) for k, (i, j) in enumerate(BRANCH_LABELS)]
@@ -343,11 +348,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
         x_axis = np.unique(dps)
         if d_axis.size * x_axis.size != vals.size:
             raise _CliError(1, f"{path}: schema mismatch: map is not a full grid")
-        if not (
-            np.array_equal(deltas, np.repeat(d_axis, x_axis.size))
-            and np.array_equal(dps, np.tile(x_axis, d_axis.size))
-        ):
-            raise _CliError(1, f"{path}: schema mismatch: rows are not in ascending splitting-major order")
+        wrong = (deltas != np.repeat(d_axis, x_axis.size)) | (dps != np.tile(x_axis, d_axis.size))
+        if wrong.any():
+            raise _CliError(1, f"{path}: schema mismatch: rows are not in ascending splitting-major order on line {2 + wrong.argmax()}")
         grid = vals.reshape(d_axis.size, x_axis.size)
         svg = svgplot.heatmap(x_axis, d_axis, grid, x_label="delta_prime (eV)", y_label="delta (eV)")
     else:

@@ -209,9 +209,9 @@ def transitions(dressed: DressedTriplet, mu: float) -> list[Transition]:
 
 
 def linewidth(model: BroadeningModel, temp_k: float) -> float:
-    """Population linewidth Gamma(T) in eV; rejects negative temperature."""
+    """Population linewidth Gamma(T) in eV; rejects a negative or non-finite temperature."""
     if not math.isfinite(temp_k) or temp_k < 0.0:
-        raise ValueError(f"temperature must be >= 0 K, got {temp_k!r}")
+        raise ValueError(f"temperature must be finite and >= 0 K, got {temp_k!r}")
     optical = 0.0
     if model.b_coef > 0.0 and K_B * temp_k > 0.0:  # K_B * T underflows to 0 for a subnormal T
         optical = model.b_coef * math.exp(-model.delta_e / (K_B * temp_k))

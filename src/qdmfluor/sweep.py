@@ -10,21 +10,24 @@ every result equals the standalone per-triplet computation at that row's
 splitting or temperature, to the last bit, whatever ``workers`` is: each
 matrix is solved on its own.
 
-One sweep is solved once: the energies and the line table of the last
-sweep solved are kept, keyed on the exact bits of its matrix stack and on
-mu, so the curves, the branches and the map of one sweep share a single
-eigensolve, whatever ``workers`` each passes.  The kept arrays are
-read-only, and results may share them.
+One sweep is solved once: ``functools.lru_cache(maxsize=1)`` keeps the
+energies and the line table of the last splitting sweep solved, keyed on
+the exact bits of its matrix stack and on mu, so the curves, the branches
+and the map of one sweep share a single eigensolve, whatever ``workers``
+each passes.  The temperature series solves its one splitting directly
+and keeps nothing.  The kept arrays are read-only, and results may share
+them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import DriveParams, EmitterParams, _check_axis, _eigensystems, _freeze, _reduced_matrices, _samples
+from .core import DriveParams, EmitterParams, _check_axis, _eigensystems, _freeze, _reduced_matrices, _samples, dressed_states
 from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, lorentz_sum
 from .spectrum import _check_workers
 
@@ -108,36 +111,24 @@ class IntensityMap:
         _freeze(self, delta_axis=d, dp_axis=x, values=v)
 
 
-_kept: tuple = ()  # (m_bytes, mu, solved) of the last sweep solved; replaced whole, so threads may share it
+@functools.lru_cache(maxsize=1, typed=True)
+def _solve(m_bytes: bytes, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only energies (N, 3) and line table a, lum (N, 9) of the matrix stack whose bytes are m_bytes.
 
-
-def _solved(
-    emitter: EmitterParams, drive: DriveParams, deltas: np.ndarray | list[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only energies (N, 3) and line table a, lum (N, 9) at each splitting in deltas.
-
-    The bits of line_table(*dressed_states(emitter, drive, deltas), emitter.mu),
-    with the energies first.  The key is the bytes of the matrix stack, not
-    the parameters: a -0.0 splitting is another matrix than a 0.0 one.  mu
-    keys by type as well, since a float32 mu equal to a float one squares in
-    float32.
+    Only the last stack solved is kept, and a refusal is not.  The key is
+    the bytes of the stack, not the parameters: a -0.0 splitting is another
+    matrix than a 0.0 one.  typed=True keys mu by type as well, since a
+    float32 mu equal to a float one squares in float32.
     """
-    global _kept
-    m = _reduced_matrices(emitter, drive, np.asarray(deltas, dtype=float))
-    m_bytes, mu, kept = m.tobytes(), emitter.mu, _kept
-    if kept and kept[0] == m_bytes and type(kept[1]) is type(mu) and kept[1] == mu:
-        return kept[2]
-    solved = _solve(m, mu)
-    _kept = (m_bytes, mu, solved)
-    return solved
-
-
-def _solve(m: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only energies, a and lum of the stack m."""
-    energies, coeffs = _eigensystems(m)
+    energies, coeffs = _eigensystems(np.frombuffer(m_bytes).reshape(-1, 3, 3))
     a, lum = line_table(energies, coeffs, mu)
     # An array over bytes can never be made writeable again, so no caller can change a kept result.
     return tuple(np.frombuffer(arr.tobytes()).reshape(arr.shape) for arr in (energies, a, lum))
+
+
+def _solved(emitter: EmitterParams, drive: DriveParams, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bits of line_table(*dressed_states(emitter, drive, deltas), emitter.mu), with the energies first."""
+    return _solve(_reduced_matrices(emitter, drive, deltas).tobytes(), emitter.mu)
 
 
 def dressed_energy_curves(rng: SweepRange, emitter: EmitterParams, drive: DriveParams) -> EnergyCurves:
@@ -177,7 +168,7 @@ def temperature_series(
     f = line_widths(model, [float(t) for t in temps])
     if not f.size:
         raise ValueError("temps must not be empty")
-    _, a, lum = _solved(emitter, drive, [emitter.delta])
+    a, lum = line_table(*dressed_states(emitter, drive, [emitter.delta]), emitter.mu)
     x = grid.values()
     rows = lorentz_sum(a, lum, f, x, workers)
     return [SpectrumGrid(x, row) for row in rows]

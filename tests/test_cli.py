@@ -726,6 +726,21 @@ def test_bad_temps_exit_1(cfg_path, tmp_path, capsys):
     assert "--temps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("temps", ["inf", "5,nan", "5,-inf"])
+def test_non_finite_temps_exit_1(cfg_path, tmp_path, temps):
+    argv = ["tempseries", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv"), "--temps", temps]
+    assert run_cli(argv) == (1, f"qdmfluor: --temps needs a comma-separated list of finite temperatures >= 0, got {temps!r}\n")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "transitions", "map"])
+@pytest.mark.parametrize("temp", ["inf", "nan"])
+def test_non_finite_temp_flag_exit_1(cfg_path, tmp_path, command, temp):
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"), "--temp", temp]
+    assert run_cli(argv) == (1, f"qdmfluor: invalid parameters: temperature must be finite and >= 0 K, got {temp}\n")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_temps_that_are_not_numbers_exit_1(cfg_path, tmp_path):
     argv = ["tempseries", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv"), "--temps", "5,abc"]
     assert run_cli(argv) == (1, "qdmfluor: bad --temps value '5,abc': could not convert string to float: 'abc'\n")
@@ -803,6 +818,9 @@ def test_negative_zero_temperature_is_written_as_zero(cfg_path, tmp_path):
 _SPECTRUM_TEXT = "delta_prime_ev,intensity\n0.0,1.0\n0.5,3.0\n1.0,2.0\n"
 
 
+_NOT_NINE = f"schema mismatch: rows are not nine per splitting in (i,j) order {BRANCH_LABELS}"
+
+
 def _branches_text(edit):
     """A branches table of two splittings as the command writes it, with its body rows edited."""
     rows = [f"{delta!r},{i},{j},{delta + i - j!r}\n" for delta in (0.0, 0.01) for i, j in BRANCH_LABELS]
@@ -869,11 +887,16 @@ class TestPlot:
             1, f"qdmfluor: {csv_path}: schema mismatch: map is not a full grid\n")
         assert not (tmp_path / "map.svg").exists()
 
-    def test_heatmap_rejects_shuffled_rows(self, tmp_path, capsys):
+    def test_heatmap_rejects_shuffled_rows(self, tmp_path):
         csv_path = tmp_path / "map.csv"
-        csv_path.write_text("delta_ev,delta_prime_ev,intensity\n0.0,-0.1,1.0\n0.01,-0.1,2.0\n0.0,0.1,4.0\n0.01,0.1,3.0\n")
-        assert main(["plot", str(csv_path), "--kind", "heatmap"]) == 1
-        assert "splitting-major" in capsys.readouterr().err
+        for body, line in [
+            ("0.0,-0.1,1.0\n0.01,-0.1,2.0\n0.0,0.1,4.0\n0.01,0.1,3.0\n", 3),  # detuning-major
+            ("0.0,-0.1,1.0\n0.0,0.1,2.0\n0.01,0.1,4.0\n0.01,-0.1,3.0\n", 4),  # the last two lines swapped
+            ("0.01,-0.1,1.0\n0.01,0.1,2.0\n0.0,-0.1,4.0\n0.0,0.1,3.0\n", 2),  # descending splittings
+        ]:
+            csv_path.write_text("delta_ev,delta_prime_ev,intensity\n" + body)
+            assert run_cli(["plot", str(csv_path), "--kind", "heatmap"]) == (
+                1, f"qdmfluor: {csv_path}: schema mismatch: rows are not in ascending splitting-major order on line {line}\n")
         assert not (tmp_path / "map.svg").exists()
 
     @pytest.mark.parametrize("text, message", [
@@ -886,9 +909,10 @@ class TestPlot:
         (_SPECTRUM_TEXT.replace("2.0", "1_000"), "schema mismatch"),
         (_SPECTRUM_TEXT.replace("1.0,2.0", "1.0,NaN"), "line 4: non-finite value 'NaN'"),
         (_SPECTRUM_TEXT.replace("1.0,2.0", "1.0,1e999"), "line 4: non-finite value '1e999'"),
-        (_branches_text(lambda rows: rows[:3] + [rows[4], rows[3]] + rows[5:]), "schema mismatch: rows are not nine"),
-        (_branches_text(lambda rows: [row for row in rows if ",3,3," not in row]), "schema mismatch: rows are not nine"),
-        (_branches_text(lambda rows: rows[:4] + ["0.005" + rows[4][3:]] + rows[5:]), "schema mismatch: rows are not nine"),
+        (_branches_text(lambda rows: rows[:3] + [rows[4], rows[3]] + rows[5:]), f"{_NOT_NINE} on line 5\n"),
+        (_branches_text(lambda rows: [row for row in rows if ",3,3," not in row]), f"{_NOT_NINE} on line 10\n"),
+        (_branches_text(lambda rows: rows[:4] + ["0.005" + rows[4][3:]] + rows[5:]), f"{_NOT_NINE} on line 6\n"),
+        (_branches_text(lambda rows: rows[:-1]), f"{_NOT_NINE} on line 19\n"),  # the line after the last is missing
         # No command writes a spectrum of one row, or branches of one splitting.
         ("delta_prime_ev,intensity\n0.0,1.0\n", "schema mismatch: a line chart needs at least two rows"),
         (_branches_text(lambda rows: rows[:9]), "schema mismatch: a line chart needs at least two splittings"),
@@ -899,7 +923,7 @@ class TestPlot:
         (_SPECTRUM_TEXT.replace("\n0.5", "\r0.5"), "field 2 on line 2: '1.0\\r0.5' is not a number of 1 to 32 bytes"),
         ("d\u00e9lta_prime_ev,intensity\n0.0,1.0\n1.0,2.0\n", "field 1 on line 1: header name 'd\\xc3\\xa9lta_prime_ev' is not ASCII"),
     ], ids=["blank", "blank-line-2", "extra-field", "missing-field", "header-only", "empty", "underscore",
-            "nan", "overflow", "branches-swapped", "branch-missing", "branches-ragged", "one-row", "one-splitting",
+            "nan", "overflow", "branches-swapped", "branch-missing", "branches-ragged", "branches-short", "one-row", "one-splitting",
             "plus", "leading-dot", "trailing-dot", "leading-zero", "integer-minus-zero", "blank-before", "blank-after",
             "long-cell", "lone-cr", "non-ascii-header"])
     def test_bad_table_exit_1(self, tmp_path, capsys, text, message):

@@ -151,6 +151,12 @@ class TestLinewidth:
         with pytest.raises(ValueError):
             linewidth(_model(), -1.0)
 
+    @pytest.mark.parametrize("temp", [math.inf, math.nan])
+    def test_non_finite_temperature_rejected(self, temp):
+        with pytest.raises(ValueError) as err:
+            linewidth(_model(), temp)
+        assert str(err.value) == f"temperature must be finite and >= 0 K, got {temp!r}"
+
     def test_subnormal_temperature_with_optical_term(self):
         # K_B * 5e-324 rounds to 0: the optical term is its T -> 0 limit, 0, not a division by zero.
         model = BroadeningModel(gamma0=75e-6, a_coef=22e-6, gamma_rad=75e-6, b_coef=1e-3, delta_e=36e-3)

@@ -1,6 +1,8 @@
+import ast
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,12 +204,19 @@ class TestIntensityMap:
             assert a.intensity.tobytes() == b.intensity.tobytes()
 
 
+def _count_solves(monkeypatch) -> list[int]:
+    """The row count of each eigensolve: the kept sweep's (_eigensystems) and the series' (dressed_states)."""
+    solved = []
+    eig, states = sweep._eigensystems, sweep.dressed_states
+    monkeypatch.setattr(sweep, "_eigensystems", lambda m: solved.append(len(m)) or eig(m))
+    monkeypatch.setattr(sweep, "dressed_states", lambda e, d, deltas: solved.append(len(deltas)) or states(e, d, deltas))
+    sweep._solve.cache_clear()  # no kept sweep, which an earlier test may have left behind, so every solve shows
+    return solved
+
+
 @pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
 def test_bad_workers_rejected(workers, monkeypatch):
-    solved = []
-    real = sweep._eigensystems
-    monkeypatch.setattr(sweep, "_eigensystems", lambda m: solved.append(len(m)) or real(m))
-    monkeypatch.setattr(sweep, "_kept", ())  # no kept sweep, so a solve before the check would show
+    solved = _count_solves(monkeypatch)
     emitter, drive = strong_drive(delta=0.0)
     grid = GridSpec(-0.35, 0.35, 11)
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
@@ -224,10 +233,7 @@ def _uncached(emitter, drive, deltas):
 
 
 def test_one_study_point_solves_each_sweep_once(monkeypatch):
-    solved = []
-    real = sweep._eigensystems
-    monkeypatch.setattr(sweep, "_eigensystems", lambda m: solved.append(len(m)) or real(m))
-    monkeypatch.setattr(sweep, "_kept", ())  # an earlier test may have left this sweep behind
+    solved = _count_solves(monkeypatch)
     emitter, drive = strong_drive(delta=0.008)
     rng = SweepRange(lo=0.0, hi=0.06, steps=201)
     grid = GridSpec(-0.35, 0.35, 101)
@@ -235,7 +241,7 @@ def test_one_study_point_solves_each_sweep_once(monkeypatch):
     transition_branches(rng, emitter, drive)
     intensity_map(rng, grid, emitter, drive, _model(), workers=1)  # workers is no part of the key: no second solve
     temperature_series([5.0, 20.0], emitter, drive, _model(), grid)
-    assert solved == [201, 1]  # the sweep once for curves, branches and map; the series' one splitting
+    assert solved == [201, 1]  # the sweep once for curves, branches and map; the series' one splitting, not kept
 
 
 # Twins that compare equal but may differ in bits.  SweepRange(lo, -0.0, n) == SweepRange(lo, 0.0, n), yet
@@ -348,35 +354,51 @@ def _solve_case(n, seed):
     return m
 
 
-def test_solve_shares_give_the_one_share_bits(monkeypatch):  # one share: the whole stack, on the caller's thread
+def test_solve_gives_the_uncached_bits_on_the_callers_thread(monkeypatch):
     started = count_thread_starts(monkeypatch)
     m = _solve_case(1027, seed=1)
     energies, coeffs = sweep._eigensystems(m)
     want = (energies, *line_table(energies, coeffs, 1.3))
     assert (np.signbit(energies) & (energies == 0.0)).any()  # a decoupled -0.0 splitting keeps its sign
-    got = sweep._solve(m, 1.3)  # keeps nothing: every call solves
+    sweep._solve.cache_clear()  # so the call below solves
+    got = sweep._solve(m.tobytes(), 1.3)
     assert started == []  # the caller's thread solves the whole stack
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
-def test_solve_refuses_as_one_share_does():  # the first failing check over every row
+def test_solve_refuses_as_the_eigensolve_does():  # the first failing check over every row
     m = _solve_case(1027, seed=5)
     m[0] = np.diag([1e308, 0.0, -1e308])  # first row: finite energies whose differences overflow (line_table)
     m[-1, 0, 0] = np.inf  # last row: a coupled row whose energies are not finite (_eigensystems)
     with pytest.raises(ValueError) as eigensystems:
         sweep._eigensystems(m)  # what _solve runs first, on every row
     with pytest.raises(ValueError) as solve:
-        sweep._solve(m, 1.0)
+        sweep._solve(m.tobytes(), 1.0)
     assert str(solve.value) == str(eigensystems.value) == "dressed energies and coeffs must be finite"
 
 
-def test_study_map_solves_on_the_callers_thread(monkeypatch):
+def test_one_worker_map_solves_on_the_callers_thread(monkeypatch):
     started = count_thread_starts(monkeypatch)
     emitter, drive = strong_drive(delta=0.008)
-    monkeypatch.setattr(sweep, "_kept", ())
+    sweep._solve.cache_clear()  # so the map solves
     intensity_map(SweepRange(lo=0.0, hi=0.06, steps=2001), GridSpec(-0.35, 0.35, 401), emitter, drive, _model(), workers=1)
-    assert started == []  # the sweep-study shape: neither the eigensolve nor the kernel starts a thread
+    assert started == []  # with workers=1 neither the eigensolve nor the kernel starts a thread
+
+
+def test_the_cache_keeps_only_the_last_sweep():
+    emitter, drive = strong_drive(delta=0.008)
+    sweep._solve.cache_clear()
+    transition_branches(SweepRange(lo=0.0, hi=0.06, steps=11), emitter, drive)
+    transition_branches(SweepRange(lo=0.0, hi=0.06, steps=21), emitter, drive)
+    assert sweep._solve.cache_info().currsize == 1  # the second sweep replaced the first
+
+
+def test_no_module_has_a_global_statement():
+    # The kept sweep lives in _solve's lru_cache; no module rebinds a global.
+    for path in sorted(Path(sweep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)], path.name
 
 
 @pytest.mark.parametrize("build, message", [
