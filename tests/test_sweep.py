@@ -397,7 +397,7 @@ def test_the_cache_keeps_only_the_last_sweep():
 def test_no_module_has_a_global_statement():
     # The kept sweep lives in _solve's lru_cache; no module rebinds a global.
     for path in sorted(Path(sweep.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)], path.name
 
 
