@@ -409,9 +409,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """argv with each `--flag -value` written `--flag=-value`, up to a `--`.
+
+    argparse reads a lone token that starts with '-' and is not a plain
+    negative number (-inf, -1e5, -5,4) as a flag, so the flag before it would
+    lose its value with "expected one argument".  Every long flag but --help
+    takes one value; a token that starts with '--' is never taken as one.
+    """
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            return out + [token, *tokens]
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and flag != "--help" and token.startswith("-") and token[1:2] != "-":
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _CliError as exc:

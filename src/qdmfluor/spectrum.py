@@ -169,7 +169,7 @@ class SpectrumGrid:
             raise ValueError("delta_prime and intensity must be equal-length 1-d arrays, >= 2 points")
         if not (np.diff(x) > 0.0).all():
             raise ValueError("delta_prime must be strictly increasing")
-        if not np.isfinite(y).all() or (y < 0.0).any():
+        if not (y.min() >= 0.0 and y.max() < math.inf):  # a NaN fails the first test
             raise ValueError("intensities must be finite and non-negative")
         _freeze(self, delta_prime=x, intensity=y)
 
@@ -280,18 +280,21 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
 
     a, lum and f (half widths) broadcast to one (N, K) line table.  Each
     line with nonzero luminosity adds I * f^2 / ((x - a)^2 + f^2) with
-    I = lum / f, in column order; lines with zero luminosity add nothing.
-    A table whose scales or denominators overflow on x is refused first,
-    by lorentz_terms.
+    I = lum / f, in column order, to 0.0; lines with zero luminosity add
+    nothing.  A table whose scales or denominators overflow on x is refused
+    first, by lorentz_terms.
     Rows are summed a block of about _BLOCK_CELLS cells at a time.  When a
     block holds several rows, a line whose a and f are the same on every
-    row has its denominator computed once per call.  The rows split into
-    even shares for min(blocks, usable CPUs) threads, at most workers
-    (an int >= 1; None sets no cap) of them, each summing its share in its
-    own scratch block: the caller's thread the first, every other a thread
+    row has its denominator computed once per call.  min(blocks, usable
+    CPUs) threads, at most workers (an int >= 1; None sets no cap) of them,
+    each claim the next block from one shared iterator until none is left,
+    so a thread slowed by other load sums fewer blocks.  Each sums in its
+    own scratch block: the caller's thread, and every other a thread
     started in a copy of the caller's context, so np.errstate carries over.
-    Every thread is joined, also when a share raises; then the first error
-    is raised, the caller's share's before those the threads reported.
+    A thread stops claiming once any block has failed.  Every thread is
+    joined, also when a block raises; then the error of the lowest faulty
+    block is raised, whichever thread summed it, as every block below it
+    was summed before.
     Each thread sums with numpy's ufunc buffer cut to
     min(np.getbufsize(), max(16, x.size // 16 * 16)): a buffer no longer
     than a row spares the copies that pack several short rows into it when
@@ -299,66 +302,81 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
     the default.  The caller's buffer size comes back on return or raise.
     The footprint is the result, one block per thread and at most half a
     block per shared line.  Every cell gets the same operations in the same
-    order, so the result does not depend on the block size, on workers or
-    on the buffer size.
+    order, so the result does not depend on the block size, on workers, on
+    which thread sums a block or on the buffer size.
     """
     _check_workers(workers)
     a, lum, f = np.broadcast_arrays(a, lum, f)
     scale, f2 = lorentz_terms(a, lum, f, (x.min(), x.max()) if x.size else ())
-    n_rows = a.shape[0]
-    y = np.zeros((n_rows, x.size))
+    n_rows, n_lines = a.shape
+    y = np.empty((n_rows, x.size))
     if not y.size:
         return y
     rows = max(1, _BLOCK_CELLS // x.size)
+    dark = lum == 0.0
+    darks = [dark[:, k] if any_dark else None for k, any_dark in enumerate(dark.any(axis=0).tolist())]
+    same_f2 = (f2 == f2[:1]).all(axis=0)
+    widths = [float(f2[0, k]) if same else None for k, same in enumerate(same_f2.tolist())]  # adds as its column would
     dens = {}
     if n_rows > 1 and rows > 1:  # blocks of several rows, so each row of a shared line is at most half a block
-        shared = np.flatnonzero((a == a[:1]).all(axis=0) & (f2 == f2[:1]).all(axis=0))
+        shared = np.flatnonzero((a == a[:1]).all(axis=0) & same_f2)
         shared_dens = np.subtract(x, a[0, shared, None])  # one row per shared line
         np.square(shared_dens, out=shared_dens)
         np.add(shared_dens, f2[0, shared, None], out=shared_dens)
         dens = dict(zip(shared.tolist(), shared_dens))
     n_threads = min(-(-n_rows // rows), _usable_cpus(), workers or n_rows)
     bufs = np.empty((n_threads, min(rows, n_rows), x.size))  # one scratch block per thread
-    bounds = [n_rows * i // n_threads for i in range(n_threads + 1)]  # share s is rows bounds[s]:bounds[s + 1]
+    blocks = iter(range(0, n_rows, rows))  # each block's first row, claimed by one thread
+    claims = threading.Lock()
+    errors = []  # (first row, error) of each failed block
 
-    def run(share: int) -> None:
+    def claim() -> int | None:
+        with claims:
+            return None if errors else next(blocks, None)
+
+    def sum_block(lo: int, term: np.ndarray) -> None:
+        hi = lo + len(term)
+        out = y[lo:hi]
+        for k in range(n_lines):
+            den = dens.get(k)
+            if den is None:
+                np.subtract(x, a[lo:hi, k, None], out=term)
+                np.square(term, out=term)
+                np.add(term, f2[lo:hi, k, None] if widths[k] is None else widths[k], out=term)
+                den = term
+            quotient = term if k else out  # line 0's is written in place; adding it to 0.0 follows below
+            np.divide(scale[lo:hi, k, None], den, out=quotient)
+            if darks[k] is not None:
+                quotient[darks[k][lo:hi]] = 0.0  # a dark line adds exactly nothing, even where its term is 0/0
+            if k:
+                out += term
+            else:
+                out += 0.0  # 0.0 + t, which is t but for a -0.0 quotient
+
+    def run(thread: int) -> None:
         # Put back on every thread: the size is per thread (numpy 1.x) or per context (2.x).
         old = np.setbufsize(min(np.getbufsize(), max(16, x.size // 16 * 16)))
         try:
-            for lo in range(bounds[share], bounds[share + 1], rows):
-                hi = min(lo + rows, bounds[share + 1])
-                term, out = bufs[share, : hi - lo], y[lo:hi]
-                for k in range(a.shape[1]):
-                    den = dens.get(k)
-                    if den is None:
-                        np.subtract(x, a[lo:hi, k, None], out=term)
-                        np.square(term, out=term)
-                        np.add(term, f2[lo:hi, k, None], out=term)
-                        den = term
-                    np.divide(scale[lo:hi, k, None], den, out=term)
-                    term[lum[lo:hi, k] == 0.0] = 0.0  # a dark line adds exactly nothing, even where its term is 0/0
-                    out += term
+            while (lo := claim()) is not None:
+                try:
+                    sum_block(lo, bufs[thread, : min(rows, n_rows - lo)])
+                except Exception as exc:  # raised by the caller after the join
+                    errors.append((lo, exc))
         finally:
             np.setbufsize(old)
 
-    def run_in_thread(share: int) -> None:
-        try:
-            run(share)
-        except Exception as exc:  # raised by the caller after the join
-            errors.append(exc)
-
-    started, errors = [], []  # shares are disjoint, and numpy releases the GIL
+    started = []  # blocks are disjoint, and numpy releases the GIL
     try:
-        for share in range(1, n_threads):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run_in_thread, share))
-            thread.start()
-            started.append(thread)
+        for thread in range(1, n_threads):
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(run, thread))
+            worker.start()
+            started.append(worker)
         run(0)
     finally:
-        for thread in started:
-            thread.join()
+        for worker in started:
+            worker.join()
     if errors:
-        raise errors[0]
+        raise min(errors, key=lambda error: error[0])[1]
     return y
 
 

@@ -22,6 +22,7 @@ them.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -106,7 +107,7 @@ class IntensityMap:
         v = np.asarray(self.values, dtype=float)
         if d.ndim != 1 or x.ndim != 1 or v.shape != (d.size, x.size):
             raise ValueError("values must have shape (len(delta_axis), len(dp_axis))")
-        if not np.isfinite(v).all() or (v < 0.0).any():
+        if v.size and not (v.min() >= 0.0 and v.max() < math.inf):  # a NaN fails the first test
             raise ValueError("intensities must be finite and non-negative")
         _freeze(self, delta_axis=d, dp_axis=x, values=v)
 
