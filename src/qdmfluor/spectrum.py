@@ -361,7 +361,8 @@ def lorentz_sum(a: np.ndarray, lum: np.ndarray, f: np.ndarray, x: np.ndarray, wo
                 try:
                     sum_block(lo, bufs[thread, : min(rows, n_rows - lo)])
                 except Exception as exc:  # raised by the caller after the join
-                    errors.append((lo, exc))
+                    with claims:
+                        errors.append((lo, exc))
         finally:
             np.setbufsize(old)
 

@@ -5,10 +5,11 @@ A sweep is evaluated as arrays in one pass: one stacked eigensolve over all
 splittings (:func:`core.dressed_states`) and one (N, 9) line table
 (:func:`spectrum.line_table`), both on the caller's thread, then one
 broadcast Lorentzian sum (:func:`spectrum.lorentz_sum`), whose row blocks
-run on up to one thread per CPU, ``workers`` capping the count.  Row r of
-every result equals the standalone per-triplet computation at that row's
-splitting or temperature, to the last bit, whatever ``workers`` is: each
-matrix is solved on its own.
+are claimed one at a time by up to one thread per CPU, ``workers`` capping
+the count.  Row r of every result equals the standalone per-triplet
+computation at that row's splitting or temperature, to the last bit,
+whatever ``workers`` is and whichever thread sums its block: each matrix
+is solved on its own.
 
 One sweep is solved once: ``functools.lru_cache(maxsize=1)`` keeps the
 energies and the line table of the last splitting sweep solved, keyed on

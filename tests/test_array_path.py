@@ -27,7 +27,7 @@ from qdmfluor import (
     transition_branches,
     transitions,
 )
-from qdmfluor.core import dressed_states
+from qdmfluor.core import _leading_negative, dressed_states
 from qdmfluor.spectrum import line_table
 
 
@@ -137,6 +137,29 @@ def test_sweeps_match_scalar_reference_bit_for_bit(case):
     assert [(tr.a, tr.lum) for tr in trans] == [(a, lum) for a, lum, _ in lines]
     single = synthesize(trans, gamma, model.gamma_rad, grid)
     assert _same(single.intensity, _ref_spectrum(lines, gamma, model.gamma_rad, x))
+
+
+@st.composite
+def _sign_rows(draw):
+    """Stacks of rows whose components tie exactly or within 1e-12 of the largest, with zeros and -0.0 among them."""
+    top = draw(st.floats(1e-300, 1e300))
+    pool = [top, -top, top * (1.0 - 1e-12), -top * (1.0 - 1e-12), top * (1.0 - 2e-12), -float(np.nextafter(top, 0.0)),
+            0.0, -0.0, draw(st.floats(-1e300, 1e300))]
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=3, max_size=3), min_size=1, max_size=12))
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sign_rows())
+@example(np.array([[0.0, -0.0, -0.0], [-0.0, 0.0, 0.0], [0.5, -0.5, 0.5], [-0.5, 0.5, -0.5]]))
+def test_sign_rule_picks_the_argmax_references_component(rows):
+    want = [row[_leading(row)] < 0.0 for row in rows]
+    assert _leading_negative(rows).tolist() == want
+    # The rows that fill whole matrices, as a (N, 3, 3) stack and in the eigensolve's transposed layout.
+    stack = rows[: len(rows) // 3 * 3].reshape(-1, 3, 3)
+    strided = np.swapaxes(np.swapaxes(stack, -1, -2).copy(), -1, -2)
+    for matrices in (stack, strided):
+        assert _leading_negative(matrices).ravel().tolist() == want[: stack.size // 3]
 
 
 def test_overflowing_sweep_values_rejected():

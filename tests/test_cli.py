@@ -741,6 +741,37 @@ def test_non_finite_temp_flag_exit_1(cfg_path, tmp_path, command, temp):
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("spectrum", "--temp", "-inf", "invalid parameters: temperature must be finite and >= 0 K, got -inf"),
+    ("map", "--temp", "-1e5", "invalid parameters: temperature must be finite and >= 0 K, got -100000.0"),
+    ("spectrum", "--delta", "-inf", "invalid parameters: delta must be finite, got -inf"),
+    ("tempseries", "--temps", "-inf", "--temps needs a comma-separated list of finite temperatures >= 0, got '-inf'"),
+    ("tempseries", "--temps", "-5,4", "--temps needs a comma-separated list of finite temperatures >= 0, got '-5,4'"),
+], ids=["temp-inf", "temp-1e5", "delta-inf", "temps-inf", "temps-list"])
+def test_a_value_that_starts_with_a_dash_reaches_its_check(cfg_path, tmp_path, command, flag, value, message):
+    # argparse alone takes -inf, -1e5 and -5,4 for flags; both spellings give the value's own refusal.
+    common = ["--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]
+    for argv in ([command, *common, flag, value], [command, flag, value, *common], [command, *common, f"{flag}={value}"]):
+        assert run_cli(argv) == (1, f"qdmfluor: {message}\n")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_a_dash_token_after_double_dash_stays_a_positional(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["plot", "--kind", "line", "--", "-missing.csv"]) == 2
+    assert capsys.readouterr().err.startswith("qdmfluor: cannot read -missing.csv: ")
+
+
+def test_every_long_flag_but_help_takes_one_value():
+    # main joins `--flag -value` on this rule; a flag that takes no value would break it.
+    parser = cli._build_parser()
+    (commands,) = [action for action in parser._actions if action.choices and action.dest == "command"]
+    for command in commands.choices.values():
+        for action in command._actions:
+            flags = [flag for flag in action.option_strings if flag.startswith("--")]
+            assert not flags or flags == ["--help"] or action.nargs is None, flags
+
+
 def test_temps_that_are_not_numbers_exit_1(cfg_path, tmp_path):
     argv = ["tempseries", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv"), "--temps", "5,abc"]
     assert run_cli(argv) == (1, "qdmfluor: bad --temps value '5,abc': could not convert string to float: 'abc'\n")

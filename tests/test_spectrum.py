@@ -1,5 +1,8 @@
 import math
 import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -424,13 +427,109 @@ def test_lorentz_sum_footprint_is_the_result_and_one_block(n_rows, grid):
     assert peak <= y.nbytes + x.nbytes + (64 << 10)  # the result, one one-row block, small arrays
 
 
+def _delay_helper_threads(monkeypatch, seconds: float) -> None:
+    """Run every thread started from here on only after `seconds`, so the caller's thread claims blocks first."""
+    real = threading.Thread
+
+    class LateThread(real):
+        def run(self):
+            time.sleep(seconds)
+            super().run()
+
+    monkeypatch.setattr(threading, "Thread", LateThread)
+
+
+def _faulty_case():
+    """Three blocks, with an 0/0 (invalid) in the last row and, on another line, a 1/0 (divide) in row 0."""
+    a, lum, f, x = _lorentz_case(2 * _ROWS + 7, 2 * _ROWS + 7, 401, seed=6)
+    a[0, 3], lum[0, 3], f[0, 3] = x[50], 0.5, 1e-200  # lum / f * f * f = 5e-201 over a denominator 0 at x[50]
+    a[-1, 5], lum[-1, 5], f[-1, 5] = x[9], 0.0, 1e-200  # a dark line: 0 / 0 at x[9]
+    return a, lum, f, x
+
+
 def test_lorentz_sum_raises_what_a_thread_raises(monkeypatch):
     count_thread_starts(monkeypatch)
     a, lum, f, x = _lorentz_case(2 * _ROWS + 7, 1, 401, seed=6)
-    # A dark 0/0 in the last row, which the second thread sums (the caller takes the first half).
+    # A dark 0/0 in the last row: whichever thread claims the last block raises it.
     a[-1, 2], lum[-1, 2], f[0, 2] = x[9], 0.0, 1e-200
-    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        spectrum.lorentz_sum(a, lum, f, x, workers=2)
+    for late in (False, True):
+        if late:  # the caller's thread claims the blocks, the faulty last one among them
+            _delay_helper_threads(monkeypatch, 0.05)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="invalid value"):
+            spectrum.lorentz_sum(a, lum, f, x, workers=2)
+
+
+@pytest.mark.parametrize("workers", [1, 2, None])
+def test_lorentz_sum_raises_the_lowest_faulty_blocks_error(monkeypatch, workers):
+    count_thread_starts(monkeypatch)
+    a, lum, f, x = _faulty_case()
+    with np.errstate(divide="raise", invalid="raise"), pytest.raises(FloatingPointError, match="divide by zero"):
+        spectrum.lorentz_sum(a, lum, f, x, workers)
+
+
+def test_lorentz_sum_raises_the_lowest_block_also_when_a_higher_one_fails_first(monkeypatch):
+    # The helper thread claims block 0 and waits in its first division until the
+    # caller's thread has claimed the other blocks and failed on the last.
+    started = count_thread_starts(monkeypatch)
+    a, lum, f, x = _faulty_case()
+    helper_claimed, caller_failed = threading.Event(), threading.Event()
+    raised = []
+    real_divide, real_setbufsize = np.divide, np.setbufsize
+
+    def divide(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread() and not helper_claimed.is_set():
+            helper_claimed.set()
+            caller_failed.wait(10.0)
+        try:
+            return real_divide(*args, **kwargs)
+        except FloatingPointError as exc:
+            raised.append(str(exc))
+            if threading.current_thread() is threading.main_thread():
+                caller_failed.set()
+            raise
+
+    def setbufsize(size):
+        if threading.current_thread() is threading.main_thread() and started:
+            helper_claimed.wait(10.0)  # the caller's thread claims only after the helper has block 0
+        return real_setbufsize(size)
+
+    with np.errstate(divide="raise", invalid="raise"):
+        monkeypatch.setattr(np, "divide", divide)
+        monkeypatch.setattr(np, "setbufsize", setbufsize)
+        with pytest.raises(FloatingPointError, match="divide by zero"):
+            spectrum.lorentz_sum(a, lum, f, x, workers=2)
+        monkeypatch.undo()
+    assert len(started) == 1 and helper_claimed.is_set() and caller_failed.is_set()
+    assert [message.split(" encountered")[0] for message in raised] == ["invalid value", "divide by zero"]
+
+
+def test_lorentz_sum_bits_do_not_depend_on_which_thread_claims_a_block(monkeypatch):
+    started = count_thread_starts(monkeypatch)
+    _delay_helper_threads(monkeypatch, 0.05)  # the caller's thread claims every block, or all but one
+    a, lum, f, x = _lorentz_case(4 * _ROWS + 7, 1, 401, seed=11)
+    wide = _with_row_constant_columns(a, lum, f, x, seed=12)
+    with np.errstate(invalid="ignore"):
+        for case in ((a, lum, f), wide):
+            want = _unblocked_lorentz_sum(*case, x)
+            assert spectrum.lorentz_sum(*case, x, workers=2).tobytes() == want.tobytes()
+    assert len(started) == 2
+
+
+def test_lorentz_sum_claims_every_block_once_under_fast_thread_switching(monkeypatch):
+    # Eight threads on any host claim 25 blocks of four rows: a lost claim would leave a block
+    # of np.empty's memory in the result, and two threads on one block would mix their sums.
+    started = count_thread_starts(monkeypatch)
+    a, lum, f, x = _lorentz_case(4 * 24 + 1, 1, spectrum._BLOCK_CELLS // 4, seed=13)
+    want = _unblocked_lorentz_sum(a, lum, f, x)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert spectrum.lorentz_sum(a, lum, f, x, workers=8).tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 3 * 7
+    assert not any(thread.is_alive() for thread in started)
 
 
 @pytest.mark.parametrize("bufsize", [16, None, 1 << 16])  # None: numpy's default

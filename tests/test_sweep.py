@@ -2,6 +2,7 @@ import ast
 import math
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -420,3 +421,30 @@ def test_refusals_name_their_value(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def _intensity_holder(kind, value):
+    """An IntensityMap or a SpectrumGrid with value between two good intensities."""
+    if kind == "map":
+        return sweep.IntensityMap(delta_axis=[0.0, 1.0], dp_axis=[0.0, 1.0, 2.0], values=[[1.0, 2.0, 3.0], [1.0, value, 3.0]])
+    return spectrum.SpectrumGrid(delta_prime=[0.0, 1.0, 2.0], intensity=[1.0, value, 3.0])
+
+
+@pytest.mark.parametrize("kind", ["map", "spectrum"])
+@pytest.mark.parametrize("value, refused", [(math.nan, True), (math.inf, True), (-math.inf, True), (-1e-300, True), (-0.0, False)],
+                         ids=["nan", "inf", "-inf", "-1e-300", "-0.0"])
+def test_value_types_refuse_what_is_not_a_finite_non_negative_intensity(kind, value, refused):
+    if not refused:
+        held = _intensity_holder(kind, value)
+        intensity = held.values[1] if kind == "map" else held.intensity
+        assert math.copysign(1.0, intensity[1]) == -1.0  # kept as given
+        return
+    with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+        warnings.simplefilter("error")  # the refusal is the only report: no numpy warning before it
+        _intensity_holder(kind, value)
+    assert str(err.value) == "intensities must be finite and non-negative"
+
+
+def test_an_intensity_map_with_an_empty_axis_constructs():
+    assert sweep.IntensityMap(delta_axis=[], dp_axis=[0.0, 1.0], values=np.zeros((0, 2))).values.shape == (0, 2)
+    assert sweep.IntensityMap(delta_axis=[0.0], dp_axis=[], values=np.zeros((1, 0))).values.shape == (1, 0)
