@@ -78,6 +78,12 @@ def _check_axis(kind: str, names: tuple[str, str, str], lo: float, hi: float, n:
         raise ValueError(f"{kind} samples repeat: {n_name} = {n} over [{lo}, {hi}] are not strictly increasing")
 
 
+def _check_intensities(values: np.ndarray) -> None:
+    """Refuse values unless each is finite and >= 0; -0.0 passes, and an empty array has none to refuse."""
+    if values.size and not (values.min() >= 0.0 and values.max() < math.inf):  # a NaN fails the first test
+        raise ValueError("intensities must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class EmitterParams:
     """Physical parameters of the quantum-dot molecule.
@@ -200,8 +206,7 @@ def _leading_negative(rows: np.ndarray) -> np.ndarray:
     """Per row of rows (..., 3): is its leading component negative?
 
     The leading component is the first whose magnitude is within _TIE_RTOL
-    of the row maximum.  It is picked over the three columns, which for a
-    finite row gives the first component within the tie threshold.
+    of the row maximum; a row with a NaN gets its last.
     """
     cols = np.reshape(rows, (-1, 3)).T.copy()  # contiguous: ufuncs run several times slower on strided columns
     c0, c1, c2 = cols

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DressedTriplet, _check_axis, _freeze, _require_finite, _samples
+from .core import DressedTriplet, _check_axis, _check_intensities, _freeze, _require_finite, _samples
 
 __all__ = [
     "CENTRAL",
@@ -169,8 +169,7 @@ class SpectrumGrid:
             raise ValueError("delta_prime and intensity must be equal-length 1-d arrays, >= 2 points")
         if not (np.diff(x) > 0.0).all():
             raise ValueError("delta_prime must be strictly increasing")
-        if not (y.min() >= 0.0 and y.max() < math.inf):  # a NaN fails the first test
-            raise ValueError("intensities must be finite and non-negative")
+        _check_intensities(y)
         _freeze(self, delta_prime=x, intensity=y)
 
     @property

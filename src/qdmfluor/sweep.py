@@ -23,13 +23,13 @@ them.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import DriveParams, EmitterParams, _check_axis, _eigensystems, _freeze, _reduced_matrices, _samples, dressed_states
+from .core import DriveParams, EmitterParams, _check_axis, _check_intensities, _eigensystems, _freeze, _reduced_matrices, _samples
+from .core import dressed_states
 from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, lorentz_sum
 from .spectrum import _check_workers
 
@@ -108,8 +108,7 @@ class IntensityMap:
         v = np.asarray(self.values, dtype=float)
         if d.ndim != 1 or x.ndim != 1 or v.shape != (d.size, x.size):
             raise ValueError("values must have shape (len(delta_axis), len(dp_axis))")
-        if v.size and not (v.min() >= 0.0 and v.max() < math.inf):  # a NaN fails the first test
-            raise ValueError("intensities must be finite and non-negative")
+        _check_intensities(v)
         _freeze(self, delta_axis=d, dp_axis=x, values=v)
 
 
