@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 configuration or input error, 2 I/O error.
 CSV floats are the text repr gives, the shortest round-trip decimal form,
 so re-parsing a file reproduces the computed values exactly and repeated
 runs are byte identical.  A table is formatted straight to bytes, one
-orjson call per block of rows, and every output is written in binary to a
-temp file beside its target and renamed into place.
+orjson call per block of rows.  Each command returns its outputs as byte
+chunks, and main writes them in one call: each to a temp file beside its
+target, in binary, and all renamed into place once all are written.
 """
 
 from __future__ import annotations
@@ -156,16 +157,22 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg.with_overrides(temp_k=getattr(args, "temp", None), delta_ev=getattr(args, "delta", None))
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def _spectra(cfg: RunConfig, temps: dict[Path, float]) -> dict[Path, Iterator[bytes]]:
+    """Each path's spectrum table at its temperature, all on the config's one grid."""
+    grids = temperature_series(list(temps.values()), cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
+    return {
+        path: _csv_bytes(SPECTRUM_HEADER, [(b"", np.column_stack((grid.delta_prime, grid.intensity)))])
+        for path, grid in zip(temps, grids)
+    }
+
+
+def cmd_spectrum(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
     cfg = _load_config(args)
     # A spectrum is the one-temperature case of tempseries.
-    (grid,) = temperature_series([cfg.temp_k], cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
-    table = np.column_stack((grid.delta_prime, grid.intensity))
-    _write_files({Path(args.out or "spectrum.csv"): _csv_bytes(SPECTRUM_HEADER, [(b"", table)])})
-    return 0
+    return _spectra(cfg, {Path(args.out or "spectrum.csv"): cfg.temp_k})
 
 
-def cmd_transitions(args: argparse.Namespace) -> int:
+def cmd_transitions(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
     cfg = _load_config(args)
     emitter = cfg.emitter()
     # One-row line tables: the nine lines at the config's splitting, in BRANCH_LABELS order.
@@ -175,20 +182,18 @@ def cmd_transitions(args: argparse.Namespace) -> int:
     table = np.column_stack((a[0], lum[0], f[0], lum[0] / f[0]))
     # One block per line: its i, j and kind lead the row as a text prefix.
     blocks = [(f"{i},{j},{kind},".encode(), row[None]) for (i, j), kind, row in zip(BRANCH_LABELS, _KINDS, table)]
-    _write_files({Path(args.out or "transitions.csv"): _csv_bytes(TRANSITIONS_HEADER, blocks)})
-    return 0
+    return {Path(args.out or "transitions.csv"): _csv_bytes(TRANSITIONS_HEADER, blocks)}
 
 
-def cmd_branches(args: argparse.Namespace) -> int:
+def cmd_branches(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
     cfg = _load_config(args)
     table = transition_branches(cfg.delta_range(), cfg.emitter(), cfg.drive())
     labels = np.tile(BRANCH_LABELS, (table.delta.size, 1))
     rows = np.column_stack((np.repeat(table.delta, len(BRANCH_LABELS)), labels, table.a.ravel()))
-    _write_files({Path(args.out or "branches.csv"): _csv_bytes(BRANCHES_HEADER, [(b"", rows)], ints=(1, 2))})
-    return 0
+    return {Path(args.out or "branches.csv"): _csv_bytes(BRANCHES_HEADER, [(b"", rows)], ints=(1, 2))}
 
 
-def cmd_map(args: argparse.Namespace) -> int:
+def cmd_map(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
     cfg = _load_config(args)
     result = intensity_map(
         cfg.delta_range(),
@@ -203,8 +208,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         (f"{delta!r},".encode(), np.column_stack((result.dp_axis, row)))
         for delta, row in zip(result.delta_axis.tolist(), result.values)
     )
-    _write_files({Path(args.out or "map.csv"): _csv_bytes(MAP_HEADER, blocks)})
-    return 0
+    return {Path(args.out or "map.csv"): _csv_bytes(MAP_HEADER, blocks)}
 
 
 def _parse_temps(raw: str) -> list[float]:
@@ -218,24 +222,16 @@ def _parse_temps(raw: str) -> list[float]:
     return temps
 
 
-def cmd_tempseries(args: argparse.Namespace) -> int:
+def cmd_tempseries(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
     cfg = _load_config(args)
-    temps = _parse_temps(args.temps)
     out = Path(args.out or "tempseries.csv")
-    paths: dict[Path, float] = {}
-    for temp in temps:
+    temps: dict[Path, float] = {}
+    for temp in _parse_temps(args.temps):
         path = out.with_name(f"{out.stem}_T{temp:g}K{out.suffix or '.csv'}")
-        if path in paths:
-            raise _CliError(1, f"--temps {paths[path]!r} and {temp!r} would both write {path.name}")
-        paths[path] = temp
-    grids = temperature_series(temps, cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
-    # Every spectrum of the series shares one detuning grid.
-    dps = grids[0].delta_prime
-    _write_files({
-        path: _csv_bytes(SPECTRUM_HEADER, [(b"", np.column_stack((dps, grid.intensity)))])
-        for path, grid in zip(paths, grids)
-    })
-    return 0
+        if path in temps:
+            raise _CliError(1, f"--temps {temps[path]!r} and {temp!r} would both write {path.name}")
+        temps[path] = temp
+    return _spectra(cfg, temps)
 
 
 def _body_rows(piece: bytes, fields: int) -> np.ndarray | None:
@@ -318,7 +314,7 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     return [name.decode() for name in names], table[:done]
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
+def cmd_plot(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
     path = Path(args.input)
     header, table = _read_table(path)
     out = Path(args.out or path.with_suffix(".svg"))
@@ -356,8 +352,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     else:
         raise _CliError(1, f"{path}: schema mismatch: header {header!r} does not fit kind {args.kind!r}")
 
-    _write_files({out: [svg.encode()]})
-    return 0
+    return {out: [svg.encode()]}
 
 
 def _add_common(parser: argparse.ArgumentParser, temp: bool = False, delta: bool = False) -> None:
@@ -434,13 +429,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        _write_files(args.func(args))  # the run's one write: all of its files, or none
     except _CliError as exc:
         print(f"qdmfluor: {exc.message}", file=sys.stderr)
         return exc.code
     except ValueError as exc:
         print(f"qdmfluor: invalid parameters: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

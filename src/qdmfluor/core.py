@@ -45,23 +45,18 @@ def _require_finite(name: str, value: float) -> None:
 
 
 def _freeze(obj: object, **arrays: np.ndarray) -> None:
-    """Make each array read-only and set it as the field of that name on the frozen dataclass obj."""
+    """Make each array read-only and set it as the attribute of that name on the frozen dataclass obj."""
     for name, arr in arrays.items():
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
 
 
-def _samples(lo: float, hi: float, n: int) -> np.ndarray:
-    """np.linspace(lo, hi, n), less the overflow warning it gives when its last step passes the largest float.
+def _check_axis(kind: str, names: tuple[str, str, str], lo: float, hi: float, n: int) -> np.ndarray:
+    """The n uniform samples lo..hi (fields named names), refused unless np.linspace gives them strictly increasing.
 
-    numpy then sets the last sample to hi, so the samples are those it returns without the warning.
+    np.linspace warns of an overflow when its last step passes the largest
+    float; it then sets the last sample to hi, so the warning is dropped.
     """
-    with np.errstate(over="ignore"):
-        return np.linspace(lo, hi, n)
-
-
-def _check_axis(kind: str, names: tuple[str, str, str], lo: float, hi: float, n: int) -> None:
-    """Refuse n uniform samples lo..hi (fields named names) unless np.linspace gives them strictly increasing."""
     lo_name, hi_name, n_name = names
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{kind} bounds must be finite")
@@ -73,9 +68,11 @@ def _check_axis(kind: str, names: tuple[str, str, str], lo: float, hi: float, n:
         raise ValueError(f"{n_name} must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"{n_name} must be >= 2, got {n}")
-    x = _samples(lo, hi, n)
+    with np.errstate(over="ignore"):
+        x = np.linspace(lo, hi, n)
     if not (x[1:] > x[:-1]).all():
         raise ValueError(f"{kind} samples repeat: {n_name} = {n} over [{lo}, {hi}] are not strictly increasing")
+    return x
 
 
 def _check_intensities(values: np.ndarray) -> None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DressedTriplet, _check_axis, _check_intensities, _freeze, _require_finite, _samples
+from .core import DressedTriplet, _check_axis, _check_intensities, _freeze, _require_finite
 
 __all__ = [
     "CENTRAL",
@@ -138,17 +138,17 @@ class BroadeningModel:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform detuning grid: npoints samples over [dp_min, dp_max] (eV)."""
+    """Uniform detuning grid: npoints samples over [dp_min, dp_max] (eV), taken once; values() returns that one read-only array."""
 
     dp_min: float
     dp_max: float
     npoints: int
 
     def __post_init__(self) -> None:
-        _check_axis("grid", ("dp_min", "dp_max", "npoints"), self.dp_min, self.dp_max, self.npoints)
+        _freeze(self, _x=_check_axis("grid", ("dp_min", "dp_max", "npoints"), self.dp_min, self.dp_max, self.npoints))
 
     def values(self) -> np.ndarray:
-        return _samples(self.dp_min, self.dp_max, self.npoints)
+        return self._x
 
     @property
     def step(self) -> float:
@@ -217,28 +217,30 @@ def linewidth(model: BroadeningModel, temp_k: float) -> float:
     return model.gamma0 + model.a_coef * temp_k + optical
 
 
-def _half_widths(kinds, gamma_pop: float, gamma_rad: float) -> list[float]:
-    """Half widths (eV) of lines of the given kinds: Gamma/2 for a central line, (Gamma + gamma)/2 for a side line."""
+def _half_widths(kinds, gamma_pop: float, gamma_rad: float, where: str) -> list[float]:
+    """Half widths (eV) of lines of the given kinds: Gamma/2 for a central line, (Gamma + gamma)/2 for a side line.
+
+    lorentz_sum squares them, so a width whose square overflows, or rounds
+    to 0 (a division by 0 at the line's centre), is refused; the message
+    ends with where, which names the rates.
+    """
     central, side = gamma_pop / 2.0, (gamma_pop + gamma_rad) / 2.0
-    return [central if kind == CENTRAL else side for kind in kinds]
+    row = [central if kind == CENTRAL else side for kind in kinds]
+    narrow, wide = min(row), max(row)
+    if not math.isfinite(wide * wide):
+        raise ValueError(f"line widths overflow {where}")
+    if not narrow * narrow > 0.0:
+        raise ValueError(f"line widths underflow {where}")
+    return row
 
 
 def line_widths(model: BroadeningModel, temps: list[float]) -> np.ndarray:
-    """Half widths, shape (len(temps), 9) in BRANCH_LABELS order, one row per temperature.
-
-    lorentz_sum squares them, so a width whose square overflows, or rounds
-    to 0 (a division by 0 at the line's centre), is refused.
-    """
+    """Half widths, shape (len(temps), 9) in BRANCH_LABELS order, one row per temperature; see _half_widths."""
     rows = []
     for temp in temps:
         gamma = linewidth(model, temp)
-        row = _half_widths(_KINDS, gamma, model.gamma_rad)
-        central, side = min(row), max(row)  # the narrowest and the widest line
-        if not math.isfinite(side * side):
-            raise ValueError(f"line widths overflow at temperature {temp!r} K (Gamma(T) = {gamma!r} eV)")
-        if not central * central > 0.0:
-            raise ValueError(f"line widths underflow at temperature {temp!r} K (Gamma(T) = {gamma!r} eV)")
-        rows.append(row)
+        where = f"at temperature {temp!r} K (Gamma(T) = {gamma!r} eV)"
+        rows.append(_half_widths(_KINDS, gamma, model.gamma_rad, where))
     return np.array(rows)
 
 
@@ -397,10 +399,11 @@ def synthesize(
     for name, rate in (("gamma_pop", gamma_pop), ("gamma_rad", gamma_rad)):
         if not (math.isfinite(rate) and rate > 0.0):
             raise ValueError(f"{name} must be positive, got {rate!r}")
+    where = f"at gamma_pop = {gamma_pop!r} eV, gamma_rad = {gamma_rad!r} eV"
+    f = np.array([_half_widths([tr.kind for tr in trans], gamma_pop, gamma_rad, where)])
     x = grid.values()
     a = np.array([[tr.a for tr in trans]])
     lum = np.array([[tr.lum for tr in trans]])
-    f = np.array([_half_widths([tr.kind for tr in trans], gamma_pop, gamma_rad)])
     return SpectrumGrid(delta_prime=x, intensity=lorentz_sum(a, lum, f, x)[0])
 
 

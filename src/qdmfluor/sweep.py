@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DriveParams, EmitterParams, _check_axis, _check_intensities, _eigensystems, _freeze, _reduced_matrices, _samples
+from .core import DriveParams, EmitterParams, _check_axis, _check_intensities, _eigensystems, _freeze, _reduced_matrices
 from .core import dressed_states
 from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, lorentz_sum
 from .spectrum import _check_workers
@@ -51,17 +51,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepRange:
-    """Uniform sweep: steps values from lo to hi inclusive."""
+    """Uniform sweep: steps values from lo to hi inclusive, taken once; values() returns that one read-only array."""
 
     lo: float
     hi: float
     steps: int
 
     def __post_init__(self) -> None:
-        _check_axis("sweep", ("lo", "hi", "steps"), self.lo, self.hi, self.steps)
+        _freeze(self, _x=_check_axis("sweep", ("lo", "hi", "steps"), self.lo, self.hi, self.steps))
 
     def values(self) -> np.ndarray:
-        return _samples(self.lo, self.hi, self.steps)
+        return self._x
 
 
 @dataclass(frozen=True)

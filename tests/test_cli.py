@@ -556,6 +556,30 @@ def test_map_workers_reach_the_kernel(tmp_path, monkeypatch):
     assert outs[1].read_bytes() == outs[8].read_bytes()
 
 
+# np.linspace calls per run: parse_config builds the grid and the sweep once each, and a command that reads an
+# axis builds it once more; plot reads no config.
+@pytest.mark.parametrize("command, out, written, samplings", [
+    ("spectrum", "s.csv", ["s.csv"], 3),
+    ("transitions", "t.csv", ["t.csv"], 2),
+    ("branches", "b.csv", ["b.csv"], 3),
+    ("map", "m.csv", ["m.csv"], 4),
+    ("tempseries", "s.csv", ["s_T5K.csv", "s_T20K.csv", "s_T40K.csv"], 3),
+    ("plot", "p.svg", ["p.svg"], 0),
+])
+def test_a_run_writes_once_and_samples_each_axis_once(cfg_path, tmp_path, monkeypatch, command, out, written, samplings):
+    table = tmp_path / "table.csv"
+    table.write_text(_SPECTRUM_TEXT)
+    extra = {"plot": [str(table), "--kind", "line"], "tempseries": ["--config", str(cfg_path), "--temps", "5,20,40"]}
+    writes, calls = [], []
+    real_write, real_linspace = cli._write_files, np.linspace
+    monkeypatch.setattr(cli, "_write_files", lambda files: writes.append(list(files)) or real_write(files))
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: calls.append(args) or real_linspace(*args, **kwargs))
+    argv = [command, *extra.get(command, ["--config", str(cfg_path)]), "--out", str(tmp_path / out)]
+    assert run_cli(argv) == (0, "")
+    assert writes == [[tmp_path / name for name in written]]
+    assert len(calls) == samplings
+
+
 def test_config_error_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(MINIMAL + "t_ev = 0.2\n")  # duplicate key

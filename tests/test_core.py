@@ -14,8 +14,8 @@ from qdmfluor import (
     diagonalize,
     reduced_hamiltonian,
 )
-from qdmfluor.spectrum import SpectrumGrid
-from qdmfluor.sweep import EnergyCurves, IntensityMap, TransitionBranches
+from qdmfluor.spectrum import GridSpec, SpectrumGrid
+from qdmfluor.sweep import EnergyCurves, IntensityMap, SweepRange, TransitionBranches
 
 from helpers import analytic_degenerate, char_poly, poly_roots, strong_drive
 
@@ -260,3 +260,25 @@ def test_value_types_hold_the_callers_arrays_read_only_once_accepted(cls, accept
     with pytest.raises(ValueError):
         cls(**arrays)
     assert all(arr.flags.writeable for arr in arrays.values())  # checked before anything is frozen
+
+
+def _count_linspace(monkeypatch) -> list:
+    """The calls np.linspace takes from now on, one entry each."""
+    calls = []
+    real = np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("axis", [GridSpec, SweepRange])
+def test_an_axis_samples_once_and_holds_its_samples_read_only(monkeypatch, axis):
+    calls = _count_linspace(monkeypatch)
+    built = axis(-0.35, 0.35, 7)
+    assert calls == [(-0.35, 0.35, 7)]  # the strict-increase check's samples are the ones kept
+    x = built.values()
+    assert built.values() is x and not x.flags.writeable
+    assert len(calls) == 1
+    assert x.tobytes() == np.linspace(-0.35, 0.35, 7).tobytes()
+    # The samples are no field: equality, hash and repr are those of the three bounds.
+    twin = axis(-0.35, 0.35, 7)
+    assert twin == built and hash(twin) == hash(built) and repr(twin) == repr(built) and twin.values() is not x

@@ -223,6 +223,17 @@ class TestHwhm:
                 synthesize(trans, gamma_pop, gamma_rad, grid)
             assert str(err.value) == message
 
+    # Widths whose square rounds to 0 would divide by zero where a sample falls on a line centre, and pass
+    # unnoticed where none does (the 701-point grid); widths whose square overflows make every denominator inf.
+    @pytest.mark.parametrize("rate, fault", [(1e-200, "underflow"), (1e200, "overflow")])
+    @pytest.mark.parametrize("grid", [GridSpec(-1.0, 1.0, 3), GridSpec(-0.35, 0.35, 701)], ids=["centre", "no-centre"])
+    def test_rejects_widths_whose_square_leaves_the_float_range(self, rate, fault, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                synthesize(_transitions_at(0.0), rate, rate, grid)
+        assert str(err.value) == f"line widths {fault} at gamma_pop = {rate!r} eV, gamma_rad = {rate!r} eV"
+
 
 class TestSynthesize:
     def test_single_lorentzian_peak_and_half_points(self):
