@@ -262,17 +262,10 @@ def test_value_types_hold_the_callers_arrays_read_only_once_accepted(cls, accept
     assert all(arr.flags.writeable for arr in arrays.values())  # checked before anything is frozen
 
 
-def _count_linspace(monkeypatch) -> list:
-    """The calls np.linspace takes from now on, one entry each."""
-    calls = []
-    real = np.linspace
-    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
-    return calls
-
-
 @pytest.mark.parametrize("axis", [GridSpec, SweepRange])
 def test_an_axis_samples_once_and_holds_its_samples_read_only(monkeypatch, axis):
-    calls = _count_linspace(monkeypatch)
+    calls, real = [], np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     built = axis(-0.35, 0.35, 7)
     assert calls == [(-0.35, 0.35, 7)]  # the strict-increase check's samples are the ones kept
     x = built.values()
