@@ -25,7 +25,6 @@ import numpy as np
 import orjson
 
 from .config import DEFAULT_TEMPS, ConfigError, RunConfig, parse_config
-from .core import dressed_states
 from .spectrum import _KINDS, line_table, line_widths, lorentz_terms
 from .sweep import BRANCH_LABELS, intensity_map, temperature_series, transition_branches
 from . import svgplot
@@ -159,7 +158,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _spectra(cfg: RunConfig, temps: dict[Path, float]) -> dict[Path, Iterator[bytes]]:
     """Each path's spectrum table at its temperature, all on the config's one grid."""
-    grids = temperature_series(list(temps.values()), cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
+    grids = temperature_series(list(temps.values()), cfg.emitter, cfg.drive, cfg.broadening, cfg.grid)
     return {
         path: _csv_bytes(SPECTRUM_HEADER, [(b"", np.column_stack((grid.delta_prime, grid.intensity)))])
         for path, grid in zip(temps, grids)
@@ -174,10 +173,9 @@ def cmd_spectrum(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
 
 def cmd_transitions(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
     cfg = _load_config(args)
-    emitter = cfg.emitter()
-    # One-row line tables: the nine lines at the config's splitting, in BRANCH_LABELS order.
-    a, lum = line_table(*dressed_states(emitter, cfg.drive(), [emitter.delta]), cfg.mu)
-    f = line_widths(cfg.broadening(), [cfg.temp_k])
+    # One-row line tables: the nine lines at the config's splitting, row 0 of its dressed states, in BRANCH_LABELS order.
+    a, lum = line_table(*(states[:1] for states in cfg._dressed), cfg.mu)
+    f = line_widths(cfg.broadening, [cfg.temp_k])
     lorentz_terms(a, lum, f)  # refuses an intensity lum / f that overflows, as a spectrum of these lines would
     table = np.column_stack((a[0], lum[0], f[0], lum[0] / f[0]))
     # One block per line: its i, j and kind lead the row as a text prefix.
@@ -187,7 +185,7 @@ def cmd_transitions(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
 
 def cmd_branches(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
     cfg = _load_config(args)
-    table = transition_branches(cfg.delta_range(), cfg.emitter(), cfg.drive())
+    table = transition_branches(cfg.delta_range, cfg.emitter, cfg.drive)
     labels = np.tile(BRANCH_LABELS, (table.delta.size, 1))
     rows = np.column_stack((np.repeat(table.delta, len(BRANCH_LABELS)), labels, table.a.ravel()))
     return {Path(args.out or "branches.csv"): _csv_bytes(BRANCHES_HEADER, [(b"", rows)], ints=(1, 2))}
@@ -195,19 +193,10 @@ def cmd_branches(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
 
 def cmd_map(args: argparse.Namespace) -> dict[Path, Iterable[bytes]]:
     cfg = _load_config(args)
-    result = intensity_map(
-        cfg.delta_range(),
-        cfg.grid(),
-        cfg.emitter(),
-        cfg.drive(),
-        cfg.broadening(),
-        temp_k=cfg.temp_k,
-    )
+    result = intensity_map(cfg.delta_range, cfg.grid, cfg.emitter, cfg.drive, cfg.broadening, temp_k=cfg.temp_k)
     # One block per splitting row, its delta cell written once as the prefix of every line.
-    blocks = (
-        (f"{delta!r},".encode(), np.column_stack((result.dp_axis, row)))
-        for delta, row in zip(result.delta_axis.tolist(), result.values)
-    )
+    blocks = ((f"{delta!r},".encode(), np.column_stack((result.dp_axis, row)))
+              for delta, row in zip(result.delta_axis.tolist(), result.values))
     return {Path(args.out or "map.csv"): _csv_bytes(MAP_HEADER, blocks)}
 
 

@@ -10,12 +10,15 @@ distances in nm.
 The fields of :class:`RunConfig` are the one table of keys: each carries
 its type, its default (none when the key is required or part of the
 coupling), its one-key rule and its meaning.  DEFAULTS, REQUIRED_KEYS and
-the parser's key set are read from them.
+the parser's key set are read from them.  The library values parse_config
+builds as it checks a config (emitter, drive, broadening, grid, delta_range)
+are the ones the commands read; --temp rebuilds none, --delta the emitter.
 """
 
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cached_property
 
 from .core import DriveParams, EmitterParams, delta_from_field, dressed_states
 from .spectrum import BroadeningModel, GridSpec, line_table, line_widths, lorentz_terms
@@ -52,7 +55,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, fully defaulted run parameters."""
+    """Validated, fully defaulted run parameters, and the library values built from them, each once on first read."""
 
     e_xd_ev: float = _key(required=True, doc="direct-exciton energy")
     hw_l_ev: float = _key(required=True, rule=_POSITIVE, doc="laser photon energy")
@@ -82,38 +85,42 @@ class RunConfig:
     sweep_hi: float = _key(0.06, doc="splitting sweep bounds")
     sweep_steps: int = _key(241, _AT_LEAST_2, doc="splitting sweep size")
 
-    @property
-    def effective_delta(self) -> float:
-        """Splitting used by the commands: field tuning wins when a field is set."""
-        if self.field_kv_per_cm != 0.0:
-            return delta_from_field(self.delta_zero_field_ev, self.d_nm, self.field_kv_per_cm)
-        return self.delta_ev
-
+    @cached_property
     def emitter(self) -> EmitterParams:
-        return EmitterParams(e_xd=self.e_xd_ev, delta=self.effective_delta, t=self.t_ev, mu=self.mu, e0=self.e0_ev)
+        """The emitter at the commands' splitting: field tuning wins when a field is set."""
+        delta = self.delta_ev
+        if self.field_kv_per_cm != 0.0:
+            delta = delta_from_field(self.delta_zero_field_ev, self.d_nm, self.field_kv_per_cm)
+        return EmitterParams(e_xd=self.e_xd_ev, delta=delta, t=self.t_ev, mu=self.mu, e0=self.e0_ev)
 
+    @cached_property
     def drive(self) -> DriveParams:
         return DriveParams(n=self.n, g=self.g_ev, hw_l=self.hw_l_ev)
 
+    @cached_property
     def broadening(self) -> BroadeningModel:
-        return BroadeningModel(
-            gamma0=self.gamma0_ev, a_coef=self.a_ev_per_k, gamma_rad=self.gamma_rad_ev,
-            b_coef=self.b_ev, delta_e=self.delta_e_ev,
-        )
+        return BroadeningModel(gamma0=self.gamma0_ev, a_coef=self.a_ev_per_k, gamma_rad=self.gamma_rad_ev,
+                               b_coef=self.b_ev, delta_e=self.delta_e_ev)
 
+    @cached_property
     def grid(self) -> GridSpec:
         return GridSpec(dp_min=self.dp_min_ev, dp_max=self.dp_max_ev, npoints=self.npoints)
 
+    @cached_property
     def delta_range(self) -> SweepRange:
         return SweepRange(lo=self.sweep_lo, hi=self.sweep_hi, steps=self.sweep_steps)
 
+    @cached_property
+    def _dressed(self) -> tuple:
+        """Dressed energies and coeffs at the emitter's splitting (row 0), delta_ev, sweep_lo and sweep_hi."""
+        return dressed_states(self.emitter, self.drive, [self.emitter.delta, self.delta_ev, self.sweep_lo, self.sweep_hi])
+
     def with_overrides(self, temp_k: float | None = None, delta_ev: float | None = None) -> "RunConfig":
-        cfg = self
-        if temp_k is not None:
-            cfg = replace(cfg, temp_k=temp_k)
-        if delta_ev is not None:
-            # An explicit splitting override also bypasses field tuning.
-            cfg = replace(cfg, delta_ev=delta_ev, field_kv_per_cm=0.0)
+        """This config with the flags' values, keeping its built values but the emitter's when --delta is given."""
+        delta = {} if delta_ev is None else {"delta_ev": delta_ev, "field_kv_per_cm": 0.0}  # it bypasses field tuning
+        cfg = replace(self, temp_k=self.temp_k if temp_k is None else temp_k, **delta)
+        kept = vars(self).keys() - _TYPES.keys() - ({"emitter", "_dressed"} if delta else set())
+        cfg.__dict__.update({name: vars(self)[name] for name in kept})  # cached_property's values, past the frozen setattr
         return cfg
 
 
@@ -243,32 +250,30 @@ def parse_config(text: str) -> RunConfig:
         values["g_sqrt_n_ev"] = values["g_ev"] * math.sqrt(values["n"])
     cfg = RunConfig(**{key: kind(values[key]) for key, kind in _TYPES.items()})
 
-    # Run the commands' own library code at the config's extremes; a stage's ValueError is one
-    # problem, on the line of a key the stage reads.  The extremes bound every row a command
-    # computes: the dressed-energy spread is convex in the splitting, so the sweep's ends bound its
-    # rows; the lines come in +- pairs, so the grid's ends bound every denominator; and each
-    # luminosity is at most mu * mu, which bounds every peak height.  The widths are those at
-    # temp_k and at tempseries' default temperatures, each checked against every splitting.
+    # Build the values the commands read, and run their library code at the config's extremes; a
+    # stage's ValueError is one problem, on the line of a key the stage reads.  The extremes bound
+    # every row a command computes: the dressed-energy spread is convex in the splitting, so the
+    # sweep's ends bound its rows; the lines come in +- pairs, so the grid's ends bound every
+    # denominator; and each luminosity is at most mu * mu, which bounds every peak height.  The
+    # widths are those at temp_k and at tempseries' default temperatures, checked at every splitting.
     def stage(keys, compute):
         try:
             return compute()
         except ValueError as exc:
             problems.append(f"{where(*keys)}{exc}")
 
-    emitter = stage(["field_kv_per_cm"], cfg.emitter)
-    built = emitter, stage(["dp_min_ev", "dp_max_ev"], cfg.grid), stage(["sweep_lo", "sweep_hi"], cfg.delta_range)
-    f = stage(_WIDTH_KEYS, lambda: line_widths(cfg.broadening(), [cfg.temp_k, *DEFAULT_TEMPS]))
+    emitter = stage(["field_kv_per_cm"], lambda: cfg.emitter)
+    built = emitter, stage(["dp_min_ev", "dp_max_ev"], lambda: cfg.grid), stage(["sweep_lo", "sweep_hi"], lambda: cfg.delta_range)
+    f = stage(_WIDTH_KEYS, lambda: line_widths(cfg.broadening, [cfg.temp_k, *DEFAULT_TEMPS]))
     widths = 1.0 if f is None else f  # widths that overflow are reported above; unit widths check the rest
     if None not in built:
         # The lines and their denominators name the set key of the largest magnitude they read (ties: the first).
         sizes = {key: abs(getattr(cfg, key)) for key in _SIZED_KEYS}
-        sizes.update(
-            hw_l_ev=abs(cfg.hw_l_ev + cfg.e0_ev - cfg.e_xd_ev), delta_zero_field_ev=abs(emitter.delta), g_ev=cfg.g_sqrt_n_ev
-        )
+        sizes.update(hw_l_ev=abs(cfg.hw_l_ev + cfg.e0_ev - cfg.e_xd_ev), delta_zero_field_ev=abs(emitter.delta),
+                     g_ev=cfg.g_sqrt_n_ev)
         largest = sorted(sizes, key=sizes.get, reverse=True)  # a stable sort
-        splittings = [emitter.delta, cfg.delta_ev, cfg.sweep_lo, cfg.sweep_hi]
         # The positions at unit mu: mu only scales the luminosities, whose bound is checked below.
-        table = stage(largest, lambda: line_table(*dressed_states(emitter, cfg.drive(), splittings), 1.0))
+        table = stage(largest, lambda: line_table(*cfg._dressed, 1.0))
         if table is not None:
             stage(largest, lambda: lorentz_terms(table[0][:, None], 0.0, widths, (cfg.dp_min_ev, cfg.dp_max_ev)))
     stage(["mu", *_WIDTH_KEYS], lambda: lorentz_terms(0.0, cfg.mu * cfg.mu, widths))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,11 +44,17 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _freeze(obj: object, **arrays: np.ndarray) -> None:
-    """Make each array read-only and set it as the attribute of that name on the frozen dataclass obj."""
-    for name, arr in arrays.items():
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+class _Frozen:
+    """Base of the frozen dataclasses that hold read-only arrays; a copy or pickle is rebuilt through the constructor."""
+
+    def _freeze(self, **arrays: np.ndarray) -> None:
+        """Make each array read-only and set it as the attribute of that name."""
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __reduce__(self):  # so a copy is checked and its arrays frozen again
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _check_axis(kind: str, names: tuple[str, str, str], lo: float, hi: float, n: int) -> np.ndarray:
@@ -150,7 +156,7 @@ class DriveParams:
 
 
 @dataclass(frozen=True)
-class TripletHamiltonian:
+class TripletHamiltonian(_Frozen):
     """Rotating-frame Hamiltonian of one photon triplet.
 
     m is a real symmetric 3x3 matrix in the basis described in the module
@@ -171,11 +177,11 @@ class TripletHamiltonian:
             raise ValueError("m must be exactly symmetric")
         if m[0, 2] != 0.0 or m[2, 0] != 0.0:
             raise ValueError("no direct g-XI coupling allowed: m[0][2] must be 0")
-        _freeze(self, m=m)
+        self._freeze(m=m)
 
 
 @dataclass(frozen=True)
-class DressedTriplet:
+class DressedTriplet(_Frozen):
     """Eigensystem of a triplet Hamiltonian.
 
     energies: the three eigenvalues, ascending, relative to the rung energy (eV)
@@ -196,7 +202,7 @@ class DressedTriplet:
         if coeffs.shape != (3, 3):
             raise ValueError(f"coeffs must be 3x3, got shape {coeffs.shape}")
         _check_eigensystems(energies, coeffs)
-        _freeze(self, energies=energies, coeffs=coeffs)
+        self._freeze(energies=energies, coeffs=coeffs)
 
 
 def _leading_negative(rows: np.ndarray) -> np.ndarray:

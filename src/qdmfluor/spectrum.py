@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DressedTriplet, _check_axis, _check_intensities, _freeze, _require_finite
+from .core import DressedTriplet, _Frozen, _check_axis, _check_intensities, _require_finite
 
 __all__ = [
     "CENTRAL",
@@ -137,7 +137,7 @@ class BroadeningModel:
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Frozen):
     """Uniform detuning grid: npoints samples over [dp_min, dp_max] (eV), taken once; values() returns that one read-only array."""
 
     dp_min: float
@@ -145,7 +145,7 @@ class GridSpec:
     npoints: int
 
     def __post_init__(self) -> None:
-        _freeze(self, _x=_check_axis("grid", ("dp_min", "dp_max", "npoints"), self.dp_min, self.dp_max, self.npoints))
+        self._freeze(_x=_check_axis("grid", ("dp_min", "dp_max", "npoints"), self.dp_min, self.dp_max, self.npoints))
 
     def values(self) -> np.ndarray:
         return self._x
@@ -156,7 +156,7 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class SpectrumGrid:
+class SpectrumGrid(_Frozen):
     """Sampled emission spectrum S(delta_prime)."""
 
     delta_prime: np.ndarray
@@ -170,7 +170,7 @@ class SpectrumGrid:
         if not (np.diff(x) > 0.0).all():
             raise ValueError("delta_prime must be strictly increasing")
         _check_intensities(y)
-        _freeze(self, delta_prime=x, intensity=y)
+        self._freeze(delta_prime=x, intensity=y)
 
     @property
     def npoints(self) -> int:

@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DriveParams, EmitterParams, _check_axis, _check_intensities, _eigensystems, _freeze, _reduced_matrices
+from .core import DriveParams, EmitterParams, _Frozen, _check_axis, _check_intensities, _eigensystems, _reduced_matrices
 from .core import dressed_states
 from .spectrum import BRANCH_LABELS, BroadeningModel, GridSpec, SpectrumGrid, line_table, line_widths, lorentz_sum
 from .spectrum import _check_workers
@@ -50,7 +50,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SweepRange:
+class SweepRange(_Frozen):
     """Uniform sweep: steps values from lo to hi inclusive, taken once; values() returns that one read-only array."""
 
     lo: float
@@ -58,14 +58,14 @@ class SweepRange:
     steps: int
 
     def __post_init__(self) -> None:
-        _freeze(self, _x=_check_axis("sweep", ("lo", "hi", "steps"), self.lo, self.hi, self.steps))
+        self._freeze(_x=_check_axis("sweep", ("lo", "hi", "steps"), self.lo, self.hi, self.steps))
 
     def values(self) -> np.ndarray:
         return self._x
 
 
 @dataclass(frozen=True)
-class EnergyCurves:
+class EnergyCurves(_Frozen):
     """Dressed-state energies along a splitting sweep; energies[k] ascends."""
 
     delta: np.ndarray
@@ -76,11 +76,11 @@ class EnergyCurves:
         e = np.asarray(self.energies, dtype=float)
         if d.ndim != 1 or e.shape != (d.size, 3):
             raise ValueError("energies must have shape (len(delta), 3)")
-        _freeze(self, delta=d, energies=e)
+        self._freeze(delta=d, energies=e)
 
 
 @dataclass(frozen=True)
-class TransitionBranches:
+class TransitionBranches(_Frozen):
     """Transition detunings along a splitting sweep, columns in BRANCH_LABELS order."""
 
     delta: np.ndarray
@@ -91,11 +91,11 @@ class TransitionBranches:
         a = np.asarray(self.a, dtype=float)
         if d.ndim != 1 or a.shape != (d.size, 9):
             raise ValueError("a must have shape (len(delta), 9)")
-        _freeze(self, delta=d, a=a)
+        self._freeze(delta=d, a=a)
 
 
 @dataclass(frozen=True)
-class IntensityMap:
+class IntensityMap(_Frozen):
     """Spectrum intensity sampled over (splitting, detuning)."""
 
     delta_axis: np.ndarray
@@ -109,7 +109,7 @@ class IntensityMap:
         if d.ndim != 1 or x.ndim != 1 or v.shape != (d.size, x.size):
             raise ValueError("values must have shape (len(delta_axis), len(dp_axis))")
         _check_intensities(v)
-        _freeze(self, delta_axis=d, dp_axis=x, values=v)
+        self._freeze(delta_axis=d, dp_axis=x, values=v)
 
 
 @functools.lru_cache(maxsize=1, typed=True)

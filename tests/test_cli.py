@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import decimal
@@ -19,7 +20,12 @@ from hypothesis import strategies as st
 
 from qdmfluor import (
     BRANCH_LABELS,
+    BroadeningModel,
     ConfigError,
+    DriveParams,
+    EmitterParams,
+    GridSpec,
+    SweepRange,
     diagonalize,
     intensity_map,
     linewidth,
@@ -97,14 +103,14 @@ def test_outputs_match_per_cell_reference(text, tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     cfg = parse_config(text)
-    dressed = diagonalize(reduced_hamiltonian(cfg.emitter(), cfg.drive()))
+    dressed = diagonalize(reduced_hamiltonian(cfg.emitter, cfg.drive))
     trans = transitions(dressed, cfg.mu)
-    gamma = linewidth(cfg.broadening(), cfg.temp_k)
+    gamma = linewidth(cfg.broadening, cfg.temp_k)
     base = ["--config", str(cfg_path), "--out"]
 
     out = tmp_path / "spectrum.csv"
     assert main(["spectrum", *base, str(out)]) == 0
-    grid = synthesize(trans, gamma, cfg.gamma_rad_ev, cfg.grid())
+    grid = synthesize(trans, gamma, cfg.gamma_rad_ev, cfg.grid)
     rows = [[_r(x), _r(y)] for x, y in zip(grid.delta_prime, grid.intensity)]
     assert out.read_bytes() == _reference_csv(cli.SPECTRUM_HEADER, rows)
     _assert_reparses_bitwise(out, {0: grid.delta_prime, 1: grid.intensity})
@@ -118,7 +124,7 @@ def test_outputs_match_per_cell_reference(text, tmp_path):
 
     out = tmp_path / "branches.csv"
     assert main(["branches", *base, str(out)]) == 0
-    table = transition_branches(cfg.delta_range(), cfg.emitter(), cfg.drive())
+    table = transition_branches(cfg.delta_range, cfg.emitter, cfg.drive)
     rows = [
         [_r(delta), i, j, _r(table.a[r, k])]
         for r, delta in enumerate(table.delta)
@@ -129,7 +135,7 @@ def test_outputs_match_per_cell_reference(text, tmp_path):
 
     out = tmp_path / "map.csv"
     assert main(["map", *base, str(out)]) == 0
-    imap = intensity_map(cfg.delta_range(), cfg.grid(), cfg.emitter(), cfg.drive(), cfg.broadening(),
+    imap = intensity_map(cfg.delta_range, cfg.grid, cfg.emitter, cfg.drive, cfg.broadening,
                          temp_k=cfg.temp_k)
     rows = [
         [_r(delta), _r(dp), _r(imap.values[r, c])]
@@ -141,7 +147,7 @@ def test_outputs_match_per_cell_reference(text, tmp_path):
 
     out = tmp_path / "series.csv"
     assert main(["tempseries", *base, str(out), "--temps", "5,20,40"]) == 0
-    grids = temperature_series([5.0, 20.0, 40.0], cfg.emitter(), cfg.drive(), cfg.broadening(), cfg.grid())
+    grids = temperature_series([5.0, 20.0, 40.0], cfg.emitter, cfg.drive, cfg.broadening, cfg.grid)
     for temp, grid in zip((5, 20, 40), grids):
         path = tmp_path / f"series_T{temp}K.csv"
         rows = [[_r(x), _r(y)] for x, y in zip(grid.delta_prime, grid.intensity)]
@@ -556,14 +562,14 @@ def test_map_workers_reach_the_kernel(tmp_path, monkeypatch):
     assert outs[1].read_bytes() == outs[8].read_bytes()
 
 
-# np.linspace calls per run: parse_config builds the grid and the sweep once each, and a command that reads an
-# axis builds it once more; plot reads no config.
+# np.linspace calls per run: parse_config builds the grid and the sweep once each, and the command reads those;
+# plot reads no config.
 @pytest.mark.parametrize("command, out, written, samplings", [
-    ("spectrum", "s.csv", ["s.csv"], 3),
+    ("spectrum", "s.csv", ["s.csv"], 2),
     ("transitions", "t.csv", ["t.csv"], 2),
-    ("branches", "b.csv", ["b.csv"], 3),
-    ("map", "m.csv", ["m.csv"], 4),
-    ("tempseries", "s.csv", ["s_T5K.csv", "s_T20K.csv", "s_T40K.csv"], 3),
+    ("branches", "b.csv", ["b.csv"], 2),
+    ("map", "m.csv", ["m.csv"], 2),
+    ("tempseries", "s.csv", ["s_T5K.csv", "s_T20K.csv", "s_T40K.csv"], 2),
     ("plot", "p.svg", ["p.svg"], 0),
 ])
 def test_a_run_writes_once_and_samples_each_axis_once(cfg_path, tmp_path, monkeypatch, command, out, written, samplings):
@@ -578,6 +584,48 @@ def test_a_run_writes_once_and_samples_each_axis_once(cfg_path, tmp_path, monkey
     assert run_cli(argv) == (0, "")
     assert writes == [[tmp_path / name for name in written]]
     assert len(calls) == samplings
+
+
+_BUILT_TYPES = (EmitterParams, DriveParams, BroadeningModel, GridSpec, SweepRange)
+
+
+# The library values of one run: parse_config builds each once and the command reads those; --temp changes none of
+# them, and --delta only the emitter, which is built once more at its splitting.
+@pytest.mark.parametrize("command, flags", [
+    ("spectrum", []), ("spectrum", ["--temp", "20"]), ("spectrum", ["--delta", "0.02"]),
+    ("transitions", []), ("transitions", ["--temp", "20"]), ("transitions", ["--delta", "0.02"]),
+    ("branches", []), ("map", []), ("map", ["--temp", "20"]), ("tempseries", []), ("tempseries", ["--delta", "0.02"]),
+])
+def test_a_run_builds_each_library_value_once(cfg_path, tmp_path, monkeypatch, command, flags):
+    built = []
+    for cls in _BUILT_TYPES:
+        monkeypatch.setattr(cls, "__post_init__", lambda self, real=cls.__post_init__: built.append(type(self).__name__) or real(self))
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"), *flags]) == (0, "")
+    once = {cls.__name__: 1 for cls in _BUILT_TYPES}
+    assert collections.Counter(built) == ({**once, "EmitterParams": 2} if "--delta" in flags else once)
+
+
+# A config with a field, whose tuning --delta bypasses, and a small grid.
+_FIELD_TUNED = MINIMAL + "npoints = 101\nsweep_steps = 5\ntemp_k = 7.0\nfield_kv_per_cm = 5.0\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(temp=st.floats(0.0, 300.0), delta=st.floats(-0.05, 0.1))
+def test_overrides_write_what_a_config_of_their_values_writes(tmp_path_factory, temp, delta):
+    work = tmp_path_factory.mktemp("overrides")
+    flagged, fresh = work / "flagged.cfg", work / "fresh.cfg"
+    flagged.write_text(_FIELD_TUNED)
+    fresh.write_text(MINIMAL + f"npoints = 101\nsweep_steps = 5\ntemp_k = {temp!r}\ndelta_ev = {delta!r}\n")
+    carried, built = parse_config(_FIELD_TUNED).with_overrides(temp, delta), parse_config(fresh.read_text())
+    assert carried == built
+    for name in ("emitter", "drive", "broadening", "grid", "delta_range"):
+        assert getattr(carried, name) == getattr(built, name), name
+    for command in ("spectrum", "transitions"):
+        outs = work / f"{command}_flagged.csv", work / f"{command}_fresh.csv"
+        flags = ["--temp", repr(temp), "--delta", repr(delta)]
+        assert run_cli([command, "--config", str(flagged), "--out", str(outs[0]), *flags]) == (0, "")
+        assert run_cli([command, "--config", str(fresh), "--out", str(outs[1])]) == (0, "")
+        assert outs[0].read_bytes() == outs[1].read_bytes(), command
 
 
 def test_config_error_exit_1(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import copy
 import math
+import pickle
 import sys
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,7 @@ def test_minimal_config_accepts_and_defaults():
     assert (cfg.dp_min_ev, cfg.dp_max_ev, cfg.npoints) == (-0.35, 0.35, 7001)
     assert (cfg.sweep_lo, cfg.sweep_hi, cfg.sweep_steps) == (0.0, 0.06, 241)
     assert cfg.g_sqrt_n_ev == 0.1
-    assert cfg.effective_delta == 0.008
+    assert cfg.emitter.delta == 0.008
 
 
 def test_coupling_via_g_and_n_matches_direct_form():
@@ -56,7 +58,7 @@ def test_coupling_via_g_and_n_matches_direct_form():
     assert paired.n == 100
     assert paired.g_ev == 0.01
     assert paired.g_sqrt_n_ev == pytest.approx(direct.g_sqrt_n_ev, rel=1e-15)
-    assert paired.drive().g_sqrt_n == pytest.approx(direct.drive().g_sqrt_n, rel=1e-15)
+    assert paired.drive.g_sqrt_n == pytest.approx(direct.drive.g_sqrt_n, rel=1e-15)
 
 
 def test_comments_blanks_and_inline_comments():
@@ -152,33 +154,42 @@ def test_field_tuning_overrides_delta():
     cfg = parse_config(
         MINIMAL + "field_kv_per_cm = 50.0\ndelta_zero_field_ev = 0.05\nd_nm = 10.0\n"
     )
-    assert cfg.effective_delta == pytest.approx(0.0, abs=1e-15)
-    assert cfg.emitter().delta == pytest.approx(0.0, abs=1e-15)
+    assert cfg.emitter.delta == pytest.approx(0.0, abs=1e-15)
+    assert cfg.emitter.delta == pytest.approx(0.0, abs=1e-15)
     # Zero field leaves delta_ev in charge.
     cfg = parse_config(MINIMAL + "delta_zero_field_ev = 0.05\n")
-    assert cfg.effective_delta == 0.008
+    assert cfg.emitter.delta == 0.008
 
 
 def test_overrides_helper():
     cfg = parse_config(MINIMAL + "field_kv_per_cm = 50.0\ndelta_zero_field_ev = 0.05\n")
     assert cfg.with_overrides(temp_k=20.0).temp_k == 20.0
     forced = cfg.with_overrides(delta_ev=0.03)
-    assert forced.effective_delta == 0.03
+    assert forced.emitter.delta == 0.03
+    # The overrides keep every value parse_config built but the emitter, which --delta changes.
+    kept = ("drive", "broadening", "grid", "delta_range")
+    assert all(getattr(cfg.with_overrides(temp_k=20.0), name) is getattr(cfg, name) for name in ("emitter", *kept))
+    assert all(getattr(forced, name) is getattr(cfg, name) for name in kept)
+    assert forced.emitter == replace(cfg.emitter, delta=0.03)
 
 
 def test_builders_produce_valid_objects():
     cfg = parse_config(MINIMAL)
-    emitter = cfg.emitter()
+    emitter = cfg.emitter
     assert emitter.delta == 0.008 and emitter.t == 0.1 and emitter.mu == 1.0
-    drive = cfg.drive()
+    drive = cfg.drive
     assert drive.g_sqrt_n == pytest.approx(0.1, rel=1e-15)
-    model = cfg.broadening()
+    model = cfg.broadening
     assert model.gamma0 == 75e-6 and model.gamma_rad == 75e-6
-    grid = cfg.grid()
+    grid = cfg.grid
     assert grid.npoints == 7001 and grid.step == pytest.approx(1e-4, rel=1e-12)
-    rng = cfg.delta_range()
+    rng = cfg.delta_range
     assert rng.steps == 241
     assert math.isclose(rng.values()[1] - rng.values()[0], 0.06 / 240, rel_tol=1e-12)
+    # A copied config carries its built axes, rebuilt read-only.
+    for copied in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert copied == cfg and copied.grid == grid and copied.delta_range == rng
+        assert not (copied.grid.values().flags.writeable or copied.delta_range.values().flags.writeable)
 
 
 def test_optical_phonon_constraint():
@@ -345,14 +356,14 @@ def test_any_text_parses_or_raises_config_error(base, edits):
     # An accepted config builds every library object the commands use, finite lines at every
     # splitting a command may use, and finite Lorentzian terms at its grid ends, without a numpy warning.
     # Its axes' samples, which the commands write, are strictly increasing.
-    cfg.emitter(), cfg.drive(), cfg.broadening()
-    for axis in (cfg.grid().values(), cfg.delta_range().values()):
+    cfg.emitter, cfg.drive, cfg.broadening
+    for axis in (cfg.grid.values(), cfg.delta_range.values()):
         assert (np.diff(axis) > 0.0).all()
-    f = line_widths(cfg.broadening(), [cfg.temp_k])
+    f = line_widths(cfg.broadening, [cfg.temp_k])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        splittings = [cfg.effective_delta, cfg.delta_ev, cfg.sweep_lo, cfg.sweep_hi]
-        a, lum = line_table(*dressed_states(cfg.emitter(), cfg.drive(), splittings), cfg.mu)
+        splittings = [cfg.emitter.delta, cfg.delta_ev, cfg.sweep_lo, cfg.sweep_hi]
+        a, lum = line_table(*dressed_states(cfg.emitter, cfg.drive, splittings), cfg.mu)
         lorentz_terms(a, lum, f, (cfg.dp_min_ev, cfg.dp_max_ev))
 
 
@@ -378,7 +389,7 @@ def test_cross_key_errors_name_a_line():
     # The largest grid whose denominators stay finite is accepted, with a field-tuned splitting, and runs clean.
     text = MINIMAL + SMALL + "dp_min_ev = -1e154\ndp_max_ev = 1e154\nfield_kv_per_cm = 1e150\nd_nm = 1\n"
     cfg = parse_config(text)
-    assert cfg.grid().step == 2e154 / 6 and cfg.effective_delta == 0.008 - 1e150 * 1e-4
+    assert cfg.grid.step == 2e154 / 6 and cfg.emitter.delta == 0.008 - 1e150 * 1e-4
     assert_runs_clean(text)
     with pytest.raises(ConfigError) as err:
         parse_config(text.replace("-1e154", "-1.35e154"))
@@ -416,7 +427,7 @@ def test_dressed_energy_spread_that_overflows_is_a_config_error():
     # The largest coupling and tunneling whose lines the kernel can square are accepted, and run clean.
     text = "e_xd_ev = 1.0\nhw_l_ev = 1.0\ng_sqrt_n_ev = 4e153\nt_ev = 4e153\n" + SMALL
     cfg = parse_config(text)
-    a, _ = line_table(*dressed_states(cfg.emitter(), cfg.drive(), [cfg.delta_ev]), cfg.mu)
+    a, _ = line_table(*dressed_states(cfg.emitter, cfg.drive, [cfg.delta_ev]), cfg.mu)
     assert np.abs(a).max() > 1e154
     assert_runs_clean(text)
     with pytest.raises(ConfigError) as err:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -260,6 +262,22 @@ def test_value_types_hold_the_callers_arrays_read_only_once_accepted(cls, accept
     with pytest.raises(ValueError):
         cls(**arrays)
     assert all(arr.flags.writeable for arr in arrays.values())  # checked before anything is frozen
+
+
+# Each value type that holds read-only arrays, built from accepted inputs.
+_VALUES = [lambda cls=cls, accepted=accepted: cls(**accepted()) for cls, accepted, _ in _VALUE_TYPES]
+_VALUES += [lambda: GridSpec(-0.35, 0.35, 7), lambda: SweepRange(0.0, 0.06, 5)]
+
+
+@pytest.mark.parametrize("build", _VALUES, ids=[t[0].__name__ for t in _VALUE_TYPES] + ["GridSpec", "SweepRange"])
+def test_a_copied_or_pickled_value_is_rebuilt_read_only(build):
+    value = build()
+    held = {name: arr for name, arr in vars(value).items() if isinstance(arr, np.ndarray)}
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and vars(copied).keys() == vars(value).keys()
+        for name, arr in held.items():
+            assert not getattr(copied, name).flags.writeable, name
+            assert getattr(copied, name).tobytes() == arr.tobytes(), name
 
 
 @pytest.mark.parametrize("axis", [GridSpec, SweepRange])
